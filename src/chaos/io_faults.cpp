@@ -58,7 +58,8 @@ IoFaultPlan IoFaultPlan::generate(const IoFaultSpec& raw_spec,
 
 bool IoFaultPlan::any() const noexcept {
   return (hashed_ && spec_.any()) || !forced_disconnects_.empty() ||
-         !forced_corruptions_.empty() || !forced_stalls_.empty();
+         !forced_corruptions_.empty() || !forced_stalls_.empty() ||
+         !forced_write_errors_.empty() || !forced_fsync_errors_.empty();
 }
 
 bool IoFaultPlan::disconnect_after(std::uint64_t collector,
@@ -133,6 +134,25 @@ void IoFaultPlan::force_corrupt(std::uint64_t collector,
 void IoFaultPlan::force_stall_window(std::uint64_t first_append,
                                      std::uint64_t appends, double seconds) {
   forced_stalls_.push_back(StallWindow{first_append, appends, seconds});
+}
+
+void IoFaultPlan::force_write_error(std::uint64_t write, int err) {
+  forced_write_errors_.emplace_back(write, err);
+}
+
+void IoFaultPlan::force_fsync_error(std::uint64_t sync) {
+  forced_fsync_errors_.push_back(sync);
+}
+
+int IoFaultPlan::write_error(std::uint64_t write) const noexcept {
+  for (const auto& [w, err] : forced_write_errors_)
+    if (w == write) return err;
+  return 0;
+}
+
+bool IoFaultPlan::fsync_error(std::uint64_t sync) const noexcept {
+  return std::find(forced_fsync_errors_.begin(), forced_fsync_errors_.end(),
+                   sync) != forced_fsync_errors_.end();
 }
 
 }  // namespace vmcw

@@ -7,7 +7,8 @@
 // hook adapters (tests/, tools/vmcw_collector) query it at each I/O point
 // and act on the answer, so the same seed produces the same disconnects,
 // the same corrupted byte, the same fsync stall windows — on any machine,
-// at any thread count, in any arrival order.
+// at any thread count, in any arrival order. Storage errors (a failed
+// write or fsync) are scripted only, for targeted fail-stop drills.
 //
 // Determinism contract: every decision is a stateless hash of
 // (plan seed, coordinate, salt) in the fault_plan idiom. Collector-side
@@ -20,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace vmcw {
@@ -118,6 +120,23 @@ class IoFaultPlan {
   void force_stall_window(std::uint64_t first_append, std::uint64_t appends,
                           double seconds);
 
+  // -- WAL-side storage errors (scripted only) --------------------------
+  // `write` and `sync` are 0-based counts of the hooks' write_some() and
+  // sync() calls (service/io_fault_hooks); the hashed schedule never
+  // injects these, so a generate()d plan stays error-free.
+
+  /// Write call `write` fails with errno `err` (EIO, ENOSPC, ...). The
+  /// adapter delivers ENOSPC the way a filling disk does: that call writes
+  /// a short prefix, and every write after it fails with ENOSPC.
+  void force_write_error(std::uint64_t write, int err);
+  /// Sync call `sync` fails with EIO.
+  void force_fsync_error(std::uint64_t sync);
+
+  /// The errno scripted for write call `write`, or 0.
+  int write_error(std::uint64_t write) const noexcept;
+  /// Is sync call `sync` scripted to fail?
+  bool fsync_error(std::uint64_t sync) const noexcept;
+
  private:
   struct StallWindow {
     std::uint64_t first = 0;
@@ -131,6 +150,8 @@ class IoFaultPlan {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> forced_disconnects_;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> forced_corruptions_;
   std::vector<StallWindow> forced_stalls_;
+  std::vector<std::pair<std::uint64_t, int>> forced_write_errors_;
+  std::vector<std::uint64_t> forced_fsync_errors_;
 };
 
 }  // namespace vmcw

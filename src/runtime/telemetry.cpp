@@ -1,9 +1,17 @@
 #include "runtime/telemetry.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <sstream>
+
+#include "runtime/record_log.h"
 
 namespace vmcw {
 
@@ -115,25 +123,28 @@ std::string MetricsRegistry::to_json() const {
 }
 
 bool write_file_atomic(const std::string& path, std::string_view content) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "w");
-  if (!file) return false;
-  const std::size_t written =
-      std::fwrite(content.data(), 1, content.size(), file);
-  if (written != content.size() || std::fflush(file) != 0) {
-    std::fclose(file);
-    std::remove(tmp.c_str());
+  // A unique sibling per call, so concurrent writers of one path never
+  // share (or clobber) a temp file; 0644 as a plain create would give.
+  std::string tmp = path + ".tmp.XXXXXX";
+  const int fd = ::mkstemp(tmp.data());
+  if (fd < 0) return false;
+  bool ok = ::fchmod(fd, 0644) == 0 &&
+            write_fully(default_wal_io_hooks(), fd,
+                        reinterpret_cast<const std::uint8_t*>(content.data()),
+                        content.size()) &&
+            ::fdatasync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
     return false;
   }
-  if (std::fclose(file) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  // fsync the directory too, or the rename itself may not survive a crash.
+  const std::string dir = std::filesystem::path(path).parent_path();
+  const int dir_fd = ::open(dir.empty() ? "." : dir.c_str(),
+                            O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) return false;
+  ok = ::fsync(dir_fd) == 0;
+  return ::close(dir_fd) == 0 && ok;
 }
 
 bool MetricsRegistry::dump_json(const std::string& path) const {

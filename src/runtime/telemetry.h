@@ -21,11 +21,14 @@
 
 namespace vmcw {
 
-/// Write `content` to `path` through a `.tmp` sibling + rename(2), so a
-/// reader — or a crash mid-write — never observes a truncated file: `path`
-/// is either its previous complete content or the new one. Returns false
-/// on I/O failure (the temp file is cleaned up). Telemetry sidecars and
-/// bench figure/table outputs all write through this.
+/// Durably replace `path` with `content`: write a unique temp sibling,
+/// fdatasync it, rename(2) it over `path`, then fsync the directory. A
+/// reader — or a crash at any point — sees either the previous complete
+/// content or the new one, never a torn or mixed file, even with several
+/// writers racing on one path. Returns false when any step fails (the temp
+/// file is removed). The one whole-file durable writer: snapshots,
+/// telemetry sidecars, reports, bench outputs and the ingest health file
+/// all write through it; append-only logs use runtime/record_log.
 bool write_file_atomic(const std::string& path, std::string_view content);
 
 /// Thread-safe registry of named counters and histograms.

@@ -129,13 +129,6 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Read an open fd in full (pread from offset 0; the fd's position is left
-/// untouched). Returns false when the file cannot be stat'ed or read.
-bool read_all(int fd, std::vector<std::uint8_t>& out);
-
-/// write() a buffer in full, retrying short writes. Returns false on error.
-bool write_all(int fd, const std::uint8_t* data, std::size_t size);
-
 inline std::uint64_t load_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i)

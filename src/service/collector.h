@@ -105,7 +105,8 @@ struct CollectorStats {
   std::size_t messages_sent = 0;  ///< wire writes, retransmits included
   std::size_t retransmits = 0;
   std::size_t reconnects = 0;
-  std::size_t transient_rejects = 0;  ///< out-of-order rejections seen
+  /// Out-of-order and storage-failed rejections seen.
+  std::size_t transient_rejects = 0;
   std::size_t shed_backoffs = 0;      ///< shedding rejections seen
   std::size_t faults_injected = 0;    ///< corrupt + split + disconnect
   /// Times a (re)connect Ack named a durable mark *below* what we had

@@ -12,6 +12,11 @@
 //    apply/tick sequence. Because live mode is WAL-first, the decision
 //    log of a replay is byte-identical to the live session's.
 //
+// Fail-stop: a WAL or decision-log write or fsync that fails is never
+// retried or papered over. ingest() throws before applying the frame,
+// append_many() returns false, and the caller stops; a restart recovers
+// from what is durable.
+//
 // Resume after a crash: the decision log's intact prefix (K batches) is
 // recovered, the input frames are re-applied recomputing every batch, and
 // the first K recomputed batches are skipped instead of re-appended — the
@@ -111,17 +116,23 @@ class Daemon {
 
   /// WAL-first ingestion of one frame. Flush frames run the controller
   /// tick and append the batch to the decision log. Requires open().
+  /// Throws std::runtime_error when the WAL append fails — before the
+  /// frame is applied — or when the decision batch cannot be appended;
+  /// either way the daemon must stop (fail-stop, DESIGN.md §8).
   DecisionBatchFrame ingest(const Frame& frame);
 
   /// Batched WAL-first ingestion, step 1: append every frame, then issue
   /// one fdatasync for the whole batch — the writer thread's amortization
   /// (one sync per queue drain instead of one per frame). Callers apply
   /// the frames afterwards via apply_frame(), acking only once this has
-  /// returned (the cumulative Ack needs the durability, not the apply).
-  void append_many(const std::vector<Frame>& frames);
+  /// returned true (the cumulative Ack needs the durability, not the
+  /// apply). False means some frame is not durable and the WAL is closed
+  /// for good: apply nothing, ack nothing, stop.
+  bool append_many(const std::vector<Frame>& frames);
 
   /// Batched ingestion, step 2: feed one already-durable frame to the
-  /// controller (identical to the apply half of ingest()).
+  /// controller (identical to the apply half of ingest(), throwing the
+  /// same way when the decision log fails).
   DecisionBatchFrame apply_frame(const Frame& frame);
 
   /// Checkpoint now if the cadence (frames or seconds) says so. Callers
@@ -172,8 +183,9 @@ class Daemon {
   /// detector's recovery probe. While every incoming data frame is being
   /// rejected, nothing would otherwise measure the disk, so the ingest
   /// writer probes before each shed rejection and recovers the moment a
-  /// probe comes back under the recovery threshold.
-  void probe_wal() { wal_.sync(); }
+  /// probe comes back under the recovery threshold. False when the fsync
+  /// failed: the WAL is closed for good and the caller must stop.
+  bool probe_wal() { return wal_.sync(); }
 
  private:
   DecisionBatchFrame apply(const Frame& frame, bool emit);

@@ -214,7 +214,8 @@ void IngestServer::update_shed_state() {
 //     answered immediately (none of those responses asserts new
 //     durability); frames that will land in the WAL are collected;
 //  2. append the whole accepted run with ONE fdatasync (Daemon::append_many)
-//     — the cumulative Ack means per-frame syncs bought nothing;
+//     — the cumulative Ack means per-frame syncs bought nothing. If that
+//     fails, the batch ends here: kStorageFailed rejects, then fail-stop;
 //  3. only now advance the real marks, apply each frame to the controller
 //     in the same order, and emit the deferred Acks. An Ack{s} still
 //     implies everything <= s from that peer is durable.
@@ -222,7 +223,7 @@ void IngestServer::update_shed_state() {
 // Then the snapshot cadence check and the liveness heartbeat, both at the
 // batch boundary: every durable frame has been applied and is covered by
 // the marks, which is exactly the invariant a snapshot needs.
-void IngestServer::process_batch(std::vector<IngressItem>& items) {
+bool IngestServer::process_batch(std::vector<IngressItem>& items) {
   struct Accepted {
     std::uint64_t conn = 0;
     std::uint64_t seq = 0;
@@ -233,6 +234,7 @@ void IngestServer::process_batch(std::vector<IngressItem>& items) {
   };
   std::vector<Accepted> accepted;
   accepted.reserve(items.size());
+  bool storage_ok = true;
   // Durable marks stay put until phase 3; classification tracks where each
   // peer's cursor *will* be so a Hello or seq check mid-batch sees the
   // items ahead of it in the same drain.
@@ -333,7 +335,10 @@ void IngestServer::process_batch(std::vector<IngressItem>& items) {
         // Nothing is appending while we shed, so nothing would re-measure
         // the disk: probe it (an fsync with no append) and accept this
         // frame after all if the stall has cleared.
-        daemon_.probe_wal();
+        if (!daemon_.probe_wal()) {
+          storage_ok = false;
+          break;
+        }
         update_shed_state();
         MutexLock lk(stats_mutex_);
         shed = shedding_;
@@ -380,11 +385,25 @@ void IngestServer::process_batch(std::vector<IngressItem>& items) {
   to_append.reserve(accepted.size());
   for (const Accepted& acc : accepted)
     if (acc.append) to_append.push_back(acc.frame);
-  if (!to_append.empty()) {
-    daemon_.append_many(to_append);
-    update_shed_state();
+  if (storage_ok && !to_append.empty()) {
+    storage_ok = daemon_.append_many(to_append);
+    if (storage_ok) update_shed_state();
     MutexLock lk(stats_mutex_);
     ++stats_.wal_batches;
+  }
+  if (!storage_ok) {
+    // Fail-stop: the WAL may hold only part of this run, and a failed
+    // fsync is never retried. Apply nothing, Ack nothing; every accepted
+    // message gets a transient reject, so its collector keeps it and
+    // resends to the restarted daemon, which recovers from what is durable.
+    for (const Accepted& acc : accepted)
+      respond(acc.conn,
+              RejectFrame{acc.seq, RejectCode::kStorageFailed,
+                          "wal write failed: daemon stopping"},
+              /*close=*/false);
+    MutexLock lk(stats_mutex_);
+    stats_.storage_failed = true;
+    return false;
   }
 
   // Phase 3: everything in the run is durable — advance the real marks,
@@ -423,6 +442,7 @@ void IngestServer::process_batch(std::vector<IngressItem>& items) {
   if (!options_.health_path.empty())
     write_file_atomic(options_.health_path,
                       std::to_string(batches_processed_));
+  return true;
 }
 
 void IngestServer::writer_loop() {
@@ -437,11 +457,19 @@ void IngestServer::writer_loop() {
     batch.clear();
     batch.push_back(std::move(*item));
     if (cap > 1) queue_.drain(batch, cap - 1);
-    process_batch(batch);
+    bool ok = false;
+    try {
+      ok = process_batch(batch);
+    } catch (const std::runtime_error&) {
+      // The decision log failed mid-apply (Daemon::apply_frame). The WAL
+      // frames behind every Ack sent so far are durable; stop all the same.
+      MutexLock lk(stats_mutex_);
+      stats_.storage_failed = true;
+    }
+    if (!ok) break;
     wake_poll();
   }
-  stop_.store(true);
-  wake_poll();
+  stop();
 }
 
 // ---------------------------------------------------------------------
@@ -662,6 +690,13 @@ void IngestServer::poll_loop() {
     ::poll(nullptr, 0, 10);  // brief pause; peers drain their side
   }
   for (auto& [id, conn] : conns) close_conn(id, conn, /*notify=*/false);
+  // Stop listening too: a collector reconnecting to a server that has
+  // stopped (fail-stop included) is refused at once instead of waiting
+  // out its response timeout in the accept backlog.
+  for (int* fd : {&unix_fd_, &tcp_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 }  // namespace vmcw::service

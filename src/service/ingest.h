@@ -39,6 +39,12 @@
 //    the writer probes the WAL (an fsync with no append) before each
 //    rejection, so recovery needs no cooperating traffic; the recover
 //    threshold sits below the shed watermark (hysteresis).
+//  - a failed WAL write or fsync is fail-stop: the writer applies and
+//    Acks nothing of that batch, answers each of its messages with
+//    Reject{kStorageFailed} (transient, so collectors keep their frames),
+//    and the server stops; vmcw_daemon then exits non-zero and its
+//    supervisor restarts it from what is durable. The fsync is never
+//    retried — after a failure the kernel may have dropped the pages.
 //  - duplicates are safe end to end: re-sent messages (seq <= last ack)
 //    are re-acked without re-appending, and across a daemon crash the
 //    writer seeds a duplicate filter from the recovered WAL frames, so a
@@ -112,6 +118,9 @@ struct IngestStats {
   std::size_t backpressure_stalls = 0;  ///< times a socket's reads paused
   std::size_t shutdowns_seen = 0;
   std::size_t wal_batches = 0;  ///< writer drains: one fdatasync each
+  /// A WAL write or fsync failed: the batch was rejected with
+  /// kStorageFailed and the server stopped (fail-stop).
+  bool storage_failed = false;
 };
 
 /// Multi-producer socket front-end over one Daemon. Not copyable; start()
@@ -142,7 +151,7 @@ class IngestServer {
              std::uint64_t recovered_shutdowns = 0);
 
   /// Block until the serve run ends: expected_shutdowns Shutdown frames
-  /// ingested, or stop() called.
+  /// ingested, stop() called, or storage failed (stats().storage_failed).
   void wait();
 
   /// Request an orderly stop from any thread (idempotent).
@@ -197,7 +206,8 @@ class IngestServer {
 
   void poll_loop();
   void writer_loop();
-  void process_batch(std::vector<IngressItem>& items);
+  /// One writer drain; false once storage failed (the server stops).
+  bool process_batch(std::vector<IngressItem>& items);
   void respond(std::uint64_t conn, const Frame& frame, bool close);
   void update_shed_state();
   void wake_poll() const noexcept;

@@ -1,16 +1,18 @@
 // Adapters binding an IoFaultPlan (chaos/io_faults) onto the service
 // layer's injection surfaces: TransportFaults on the collector side and
-// WalIoHooks under the telemetry WAL. Header-only so that tests and tools
+// WalIoHooks under the telemetry WAL, the decision log and the sweep
+// journal (runtime/record_log). Header-only so that tests and tools
 // can compose a plan with real sockets and a real daemon without adding a
 // chaos -> service link edge; consumers link vmcw_service and vmcw_chaos
 // themselves.
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 
 #include "chaos/io_faults.h"
+#include "runtime/record_log.h"
 #include "service/collector.h"
-#include "service/telemetry_log.h"
 
 namespace vmcw {
 
@@ -43,28 +45,58 @@ class PlannedTransportFaults : public service::TransportFaults {
   std::uint64_t collector_;
 };
 
-/// WAL hooks with a *virtual* fsync clock: writes and fdatasyncs are real,
-/// but the latency the FrameLog measures is the plan's injected stall for
-/// that sync index — zero when healthy — so shed/recover cycles run in
-/// tests without a slow disk or a real sleep. now() is called once before
-/// and once after each sync; advancing the clock inside sync() makes the
-/// measured latency exactly the injected stall.
-class StallingWalHooks : public service::WalIoHooks {
+/// WAL hooks driven by the plan: writes and fdatasyncs are real unless
+/// the plan scripts a storage error for that call (force_write_error,
+/// force_fsync_error), and the fsync latency the log measures runs on a
+/// *virtual* clock — the plan's injected stall for that sync index, zero
+/// when healthy — so shed/recover cycles and fail-stop run in tests
+/// without a slow or failing disk or a real sleep. now() is called once
+/// before and once after each sync; advancing the clock inside sync()
+/// makes the measured latency exactly the injected stall. Calls are
+/// counted across every log the hooks are installed on.
+class PlannedWalHooks : public WalIoHooks {
  public:
-  explicit StallingWalHooks(const IoFaultPlan& plan) : plan_(&plan) {}
+  explicit PlannedWalHooks(const IoFaultPlan& plan) : plan_(&plan) {}
+
+  long write_some(int fd, const std::uint8_t* data,
+                  std::size_t size) override {
+    if (disk_full_) {
+      errno = ENOSPC;
+      return -1;
+    }
+    const int err = plan_->write_error(writes_++);
+    if (err == ENOSPC) {
+      // A filling disk takes what fits, then refuses the rest.
+      disk_full_ = true;
+      if (size > 1) return WalIoHooks::write_some(fd, data, size / 2);
+    }
+    if (err != 0) {
+      errno = err;
+      return -1;
+    }
+    return WalIoHooks::write_some(fd, data, size);
+  }
 
   int sync(int fd) override {
-    const int rc = service::WalIoHooks::sync(fd);
-    clock_ += plan_->fsync_stall(sync_index_++);
+    const std::uint64_t index = syncs_++;
+    int rc = WalIoHooks::sync(fd);
+    clock_ += plan_->fsync_stall(index);
+    if (plan_->fsync_error(index)) {
+      errno = EIO;
+      rc = -1;
+    }
     return rc;
   }
   double now() override { return clock_; }
 
-  std::uint64_t syncs() const noexcept { return sync_index_; }
+  std::uint64_t writes() const noexcept { return writes_; }
+  std::uint64_t syncs() const noexcept { return syncs_; }
 
  private:
   const IoFaultPlan* plan_;
-  std::uint64_t sync_index_ = 0;
+  std::uint64_t writes_ = 0;
+  std::uint64_t syncs_ = 0;
+  bool disk_full_ = false;
   double clock_ = 0.0;
 };
 

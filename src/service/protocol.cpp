@@ -114,7 +114,7 @@ RejectFrame decode_reject(ByteReader& r) {
   RejectFrame f;
   f.seq = r.u64();
   f.code = static_cast<RejectCode>(r.u8());
-  if (f.code < RejectCode::kBadHello || f.code > RejectCode::kUnexpectedFrame)
+  if (f.code < RejectCode::kBadHello || f.code > RejectCode::kStorageFailed)
     throw std::runtime_error("protocol: unknown reject code");
   f.detail = r.str();
   return f;
@@ -211,12 +211,15 @@ const char* to_string(RejectCode code) noexcept {
       return "shedding";
     case RejectCode::kUnexpectedFrame:
       return "unexpected-frame";
+    case RejectCode::kStorageFailed:
+      return "storage-failed";
   }
   return "?";
 }
 
 bool reject_is_transient(RejectCode code) noexcept {
-  return code == RejectCode::kShedding || code == RejectCode::kOutOfOrder;
+  return code == RejectCode::kShedding || code == RejectCode::kOutOfOrder ||
+         code == RejectCode::kStorageFailed;
 }
 
 const char* to_string(DecisionAction action) noexcept {

@@ -169,6 +169,8 @@ enum class RejectCode : std::uint8_t {
   kOutOfOrder = 5,      ///< sequence gap; resend from the last Ack
   kShedding = 6,        ///< WAL stalled: heartbeat-only mode, retry later
   kUnexpectedFrame = 7, ///< a kind a collector must never send (decisions)
+  kStorageFailed = 8,   ///< WAL write/fsync failed: nothing acked, daemon
+                        ///< stopping; keep the frames, resend on restart
 };
 
 const char* to_string(RejectCode code) noexcept;

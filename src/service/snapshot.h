@@ -23,9 +23,10 @@
 //     state             u64 length + IncrementalController::save_state bytes
 //     ack_marks         u64 count + (str peer, u64 last_acked) each
 //
-// Writes are atomic: the bytes go to `path + ".tmp"`, are fdatasync'd,
-// and rename(2) publishes them — a crash mid-write leaves either the old
-// snapshot or the new one, never a torn file. A snapshot that fails any
+// Writes go through write_file_atomic (runtime/telemetry): a unique temp
+// sibling, fdatasync, rename(2), then an fsync of the directory — a crash
+// mid-write leaves either the old snapshot or the new one, never a torn
+// file. A snapshot that fails any
 // validation (magic, version, checksum, fleet hash) is reported as such
 // and the caller falls back to a full WAL replay; a snapshot is an
 // optimization, never an additional source of truth.
@@ -59,8 +60,8 @@ struct SnapshotData {
   std::map<std::string, std::uint64_t> ack_marks;
 };
 
-/// Atomically write `data` to `path` (tmp + fdatasync + rename). Returns
-/// false on any I/O failure; the previous snapshot, if any, survives.
+/// Durably write `data` to `path` via write_file_atomic. Returns false
+/// on any I/O failure; the previous snapshot, if any, survives.
 bool write_snapshot(const std::string& path, std::uint64_t fleet_hash,
                     const SnapshotData& data);
 

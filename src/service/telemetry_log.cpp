@@ -1,18 +1,14 @@
 #include "service/telemetry_log.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
-#include "runtime/telemetry.h"
 #include "runtime/wire.h"
 
 namespace vmcw::service {
@@ -23,8 +19,6 @@ using wire::ByteWriter;
 using wire::fnv1a64;
 using wire::load_u32;
 using wire::load_u64;
-using wire::read_all;
-using wire::write_all;
 
 constexpr char kMagic[8] = {'V', 'M', 'C', 'W', 'T', 'W', 'L', '1'};
 // magic + version + fleet-config hash; version 2 appends the base ordinal.
@@ -35,32 +29,18 @@ std::size_t header_size(std::uint32_t version) {
   return version == 2 ? kHeaderSizeV2 : kHeaderSizeV1;
 }
 
-/// Scan the intact frame prefix of a WAL byte image starting at `off`.
-/// Returns the offset of the first byte past the last intact frame; frames
-/// decoded on the way are appended to `frames`.
-std::size_t scan_frames(const std::vector<std::uint8_t>& bytes,
-                        std::vector<Frame>& frames, std::size_t off) {
-  while (off < bytes.size()) {
+/// Record scanner of a frame log: each record is one protocol frame,
+/// decoded into `frames`.
+RecordScanner frames_into(std::vector<Frame>& frames) {
+  return [&frames](const std::uint8_t* data, std::size_t size) -> std::size_t {
     try {
-      DecodedFrame d = decode_frame(bytes.data() + off, bytes.size() - off);
+      DecodedFrame d = decode_frame(data, size);
       frames.push_back(std::move(d.frame));
-      off += d.consumed;
+      return d.consumed;
     } catch (const std::exception&) {
-      break;  // a frame decodes cleanly or it is the torn tail
+      return 0;  // a frame decodes cleanly or it is the torn tail
     }
-  }
-  return off;
-}
-
-bool header_matches(const std::vector<std::uint8_t>& bytes,
-                    std::uint64_t fleet_hash, std::uint32_t version,
-                    std::uint64_t base_ordinal) {
-  if (bytes.size() < header_size(version) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0 ||
-      load_u32(bytes.data() + 8) != version ||
-      load_u64(bytes.data() + 12) != fleet_hash)
-    return false;
-  return version != 2 || load_u64(bytes.data() + 20) == base_ordinal;
+  };
 }
 
 std::vector<std::uint8_t> encode_header(std::uint64_t fleet_hash,
@@ -74,171 +54,43 @@ std::vector<std::uint8_t> encode_header(std::uint64_t fleet_hash,
   return header.bytes();
 }
 
-/// write_all through the hook surface: retries EINTR and short writes the
-/// same way wire::write_all does for the real fd path.
-bool write_all_hooked(WalIoHooks& hooks, int fd, const std::uint8_t* data,
-                      std::size_t size) {
-  std::size_t off = 0;
-  while (off < size) {
-    const long n = hooks.write_some(fd, data + off, size - off);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// fdatasync through the hook surface, retrying EINTR.
-int sync_hooked(WalIoHooks& hooks, int fd) {
-  int rc;
-  do {
-    rc = hooks.sync(fd);
-  } while (rc != 0 && errno == EINTR);
-  return rc;
-}
-
 }  // namespace
-
-long WalIoHooks::write_some(int fd, const std::uint8_t* data,
-                            std::size_t size) {
-  return static_cast<long>(::write(fd, data, size));
-}
-
-int WalIoHooks::sync(int fd) { return ::fdatasync(fd); }
-
-double WalIoHooks::now() {
-  // The one sanctioned wall-clock read of the service layer
-  // (vmcw_lint.conf): it times fsyncs for the observational latency
-  // metric and the ingest stall detector, never decision bytes.
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-WalIoHooks& default_wal_io_hooks() {
-  static WalIoHooks hooks;  // stateless: real write/fdatasync/clock
-  return hooks;
-}
-
-FrameLog::~FrameLog() { close(); }
-
-void FrameLog::close() {
-  MutexLock lk(mutex_);
-  close_locked();
-}
-
-void FrameLog::close_locked() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
 
 FrameLog::Recovery FrameLog::open(const std::string& path,
                                   std::uint64_t fleet_hash, bool resume,
                                   std::uint32_t version,
                                   std::uint64_t base_ordinal) {
-  // open() runs before the log is shared with other threads, but holding
-  // the lock throughout keeps fd_'s guard unconditional.
-  MutexLock lk(mutex_);
-  close_locked();
   Recovery rec;
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd_ < 0) throw std::runtime_error("FrameLog: cannot open " + path);
-
-  std::vector<std::uint8_t> bytes;
-  const bool readable = read_all(fd_, bytes);
-
-  if (resume && readable &&
-      header_matches(bytes, fleet_hash, version, base_ordinal)) {
-    const std::size_t off = scan_frames(bytes, rec.frames, header_size(version));
-    if (off < bytes.size()) {
-      rec.torn_tail = true;
-      rec.bytes_discarded = bytes.size() - off;
-      if (::ftruncate(fd_, static_cast<off_t>(off)) != 0) {
-        // Cannot trim the torn tail: appending would interleave with
-        // garbage, so fall back to a fresh log.
-        rec.frames.clear();
-        rec.torn_tail = false;
-        rec.bytes_discarded = 0;
-        goto fresh;
-      }
-    }
-    rec.content_hash = fnv1a64(bytes.data(), off);
-    ::lseek(fd_, 0, SEEK_END);
-    return rec;
-  }
-
-fresh:
-  // Not resuming, no log yet, or a stale one (the fleet shape changed
-  // since it was written): start clean. Stale frames are never mixed in.
-  rec.stale = resume && readable && !bytes.empty();
-  rec.frames.clear();
-  if (::ftruncate(fd_, 0) != 0 || ::lseek(fd_, 0, SEEK_SET) < 0) {
-    close_locked();
-    throw std::runtime_error("FrameLog: cannot rewrite " + path);
-  }
-  const std::vector<std::uint8_t> header =
-      encode_header(fleet_hash, version, base_ordinal);
-  if (!write_all(fd_, header.data(), header.size())) {
-    close_locked();
+  static_cast<RecordLog::Recovery&>(rec) =
+      log_.open(path, encode_header(fleet_hash, version, base_ordinal), resume,
+                frames_into(rec.frames));
+  if (!log_.is_open())
     throw std::runtime_error("FrameLog: cannot write header of " + path);
-  }
-  ::fdatasync(fd_);
-  rec.content_hash = fnv1a64(header.data(), header.size());
+  if (!rec.resumed) rec.frames.clear();
   return rec;
 }
 
-void FrameLog::append(const Frame& frame, bool sync) {
+bool FrameLog::append(const Frame& frame, bool sync) {
   const std::vector<std::uint8_t> record = encode_frame(frame);
-  MutexLock lk(mutex_);
-  if (fd_ < 0) return;
-  if (!write_all_hooked(*hooks_, fd_, record.data(), record.size())) {
-    // A failed append (disk full, injected write error) must not corrupt
-    // what is already durable: stop logging rather than interleave a
-    // partial frame.
-    close_locked();
-    return;
-  }
-  if (sync) sync_locked();
-}
-
-void FrameLog::sync_locked() {
-  if (fd_ < 0) return;
-  const double start = hooks_->now();
-  sync_hooked(*hooks_, fd_);
-  const double elapsed = hooks_->now() - start;
-  last_sync_seconds_ = elapsed;
-  // One measurement, two consumers: the telemetry sidecars and the
-  // ingestion front-end's WAL-stall detector (service/ingest).
-  MetricsRegistry::global().observe("service.wal_fsync_seconds", elapsed);
-}
-
-void FrameLog::sync() {
-  MutexLock lk(mutex_);
-  sync_locked();
+  return log_.append(record.data(), record.size(), sync);
 }
 
 WalContents read_frame_log(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) throw std::runtime_error("read_frame_log: cannot open " + path);
   std::vector<std::uint8_t> bytes;
-  const bool readable = read_all(fd, bytes);
-  ::close(fd);
-  if (!readable)
+  if (!read_file(path, bytes))
     throw std::runtime_error("read_frame_log: cannot read " + path);
-  if (bytes.size() < kHeaderSizeV1 ||
+  const std::uint32_t version =
+      bytes.size() < kHeaderSizeV1 ? 0 : load_u32(bytes.data() + 8);
+  if ((version != 1 && version != 2) || bytes.size() < header_size(version) ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-    throw std::runtime_error("read_frame_log: not a frame WAL: " + path);
-  const std::uint32_t version = load_u32(bytes.data() + 8);
-  if ((version != 1 && version != 2) || bytes.size() < header_size(version))
     throw std::runtime_error("read_frame_log: not a frame WAL: " + path);
 
   WalContents wal;
   wal.version = version;
   wal.fleet_hash = load_u64(bytes.data() + 12);
   if (version == 2) wal.base_ordinal = load_u64(bytes.data() + 20);
-  const std::size_t off = scan_frames(bytes, wal.frames, header_size(version));
+  const std::size_t off =
+      scan_records(bytes, header_size(version), frames_into(wal.frames));
   wal.torn_tail = off < bytes.size();
   wal.content_hash = fnv1a64(bytes.data(), off);
   return wal;
@@ -295,16 +147,30 @@ std::uint64_t chain_hash(std::uint64_t running, std::uint64_t segment) {
   return fnv1a64(bytes, sizeof(bytes), running);
 }
 
-}  // namespace
+void append_frames(std::vector<Frame>& to, std::vector<Frame>& from) {
+  to.insert(to.end(), std::make_move_iterator(from.begin()),
+            std::make_move_iterator(from.end()));
+}
 
-WalContents read_segmented_wal(const std::string& path) {
-  const auto files = list_segments(path);
-  if (files.empty()) return read_frame_log(path);
+/// The valid prefix of a segment chain, walked in index order and
+/// stitched into one WalContents: each segment must read cleanly as
+/// version 2, carry the head's fleet hash (`fleet_hash` when given) and
+/// continue the index and base ordinal before it. The first violation
+/// ends the walk; a torn segment is kept but ends it too — a torn tail
+/// belongs to the last write, so anything after it was never validly
+/// sealed.
+struct Chain {
+  WalContents wal;
+  std::vector<std::pair<std::size_t, std::uint64_t>> kept;  ///< index, frames
+  bool foreign_head = false;  ///< the head belongs to another fleet
+};
 
-  WalContents out;
-  bool any = false;
-  std::size_t expected_index = 0;
-  std::uint64_t expected_base = 0;
+Chain walk_chain(const std::vector<std::pair<std::size_t, std::string>>& files,
+                 const std::uint64_t* fleet_hash) {
+  Chain chain;
+  WalContents& out = chain.wal;
+  out.version = 2;
+  out.content_hash = 1469598103934665603ull;
   for (const auto& [index, file] : files) {
     WalContents seg;
     try {
@@ -313,29 +179,36 @@ WalContents read_segmented_wal(const std::string& path) {
       break;
     }
     if (seg.version != 2) break;
-    if (!any) {
+    if (chain.kept.empty()) {
+      chain.foreign_head =
+          fleet_hash != nullptr && seg.fleet_hash != *fleet_hash;
+      if (chain.foreign_head) break;
       out.fleet_hash = seg.fleet_hash;
-      out.version = 2;
       out.base_ordinal = seg.base_ordinal;
-      out.content_hash = 1469598103934665603ull;
-    } else if (seg.fleet_hash != out.fleet_hash || index != expected_index ||
-               seg.base_ordinal != expected_base) {
-      break;  // gap, foreign file or base discontinuity: the chain ends here
+    } else if (seg.fleet_hash != out.fleet_hash ||
+               index != chain.kept.back().first + 1 ||
+               seg.base_ordinal != out.base_ordinal + out.frames.size()) {
+      break;  // gap, foreign file or base discontinuity
     }
-    any = true;
-    expected_index = index + 1;
-    expected_base = seg.base_ordinal + seg.frames.size();
-    out.frames.insert(out.frames.end(),
-                      std::make_move_iterator(seg.frames.begin()),
-                      std::make_move_iterator(seg.frames.end()));
+    chain.kept.emplace_back(index, seg.frames.size());
+    append_frames(out.frames, seg.frames);
     out.content_hash = chain_hash(out.content_hash, seg.content_hash);
     out.torn_tail = seg.torn_tail;
-    if (seg.torn_tail) break;  // a torn segment is the tail by definition
+    if (seg.torn_tail) break;
   }
-  if (!any)
+  return chain;
+}
+
+}  // namespace
+
+WalContents read_segmented_wal(const std::string& path) {
+  const auto files = list_segments(path);
+  if (files.empty()) return read_frame_log(path);
+  Chain chain = walk_chain(files, nullptr);
+  if (chain.kept.empty())
     throw std::runtime_error("read_segmented_wal: no readable segments: " +
                              path);
-  return out;
+  return std::move(chain.wal);
 }
 
 SegmentedFrameLog::Recovery SegmentedFrameLog::open(
@@ -370,53 +243,15 @@ SegmentedFrameLog::Recovery SegmentedFrameLog::open(
     return rec;
   }
 
-  // Validate the chain file by file; the first violation ends the kept
-  // prefix and everything from it onward is unlinked (a sealed segment is
-  // immutable, so a bad one means corruption — nothing after it is
-  // trustworthy either).
-  struct Kept {
-    std::size_t index;
-    WalContents contents;
-  };
-  std::vector<Kept> kept;
-  std::size_t first_bad = files.size();
-  std::size_t expected_index = 0;
-  std::uint64_t expected_base = 0;
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    const auto& [index, file] = files[i];
-    WalContents seg;
-    bool ok = true;
-    try {
-      seg = read_frame_log(file);
-    } catch (const std::exception&) {
-      ok = false;
-    }
-    if (ok && seg.version != 2) ok = false;
-    if (ok && seg.fleet_hash != fleet_hash) {
-      // A foreign fleet hash on the chain head means the whole chain is
-      // stale (the fleet shape changed); later on it is plain corruption.
-      if (kept.empty()) rec.stale = true;
-      ok = false;
-    }
-    if (ok && !kept.empty() &&
-        (index != expected_index || seg.base_ordinal != expected_base))
-      ok = false;
-    if (!ok) {
-      first_bad = i;
-      break;
-    }
-    expected_index = index + 1;
-    expected_base = seg.base_ordinal + seg.frames.size();
-    const bool torn = seg.torn_tail;
-    kept.push_back({index, std::move(seg)});
-    if (torn) {
-      // A torn tail belongs to the last write; anything after a torn
-      // segment was never validly sealed.
-      first_bad = i + 1;
-      break;
-    }
-  }
-  for (std::size_t i = first_bad; i < files.size(); ++i)
+  // The first violation ends the kept prefix and everything from it onward
+  // is unlinked (a sealed segment is immutable, so a bad one means
+  // corruption — nothing after it is trustworthy either). A foreign fleet
+  // hash on the chain head means the whole chain is stale (the fleet shape
+  // changed); later on it is plain corruption.
+  Chain chain = walk_chain(files, &fleet_hash);
+  const auto& kept = chain.kept;
+  rec.stale = chain.foreign_head;
+  for (std::size_t i = kept.size(); i < files.size(); ++i)
     ::unlink(files[i].second.c_str());
 
   if (kept.empty()) {
@@ -426,46 +261,52 @@ SegmentedFrameLog::Recovery SegmentedFrameLog::open(
   }
 
   // Sealed prefix stays closed; the last kept segment reopens for append
-  // (FrameLog::open truncates its torn tail if any).
+  // (FrameLog::open re-reads it and truncates its torn tail if any), so
+  // its frames come from there.
+  rec.frames = std::move(chain.wal.frames);
+  rec.frames.erase(rec.frames.end() -
+                       static_cast<std::ptrdiff_t>(kept.back().second),
+                   rec.frames.end());
+  active_base_ = chain.wal.base_ordinal;
   for (std::size_t i = 0; i + 1 < kept.size(); ++i) {
-    WalContents& seg = kept[i].contents;
-    sealed_.push_back({segment_path(path, kept[i].index), seg.base_ordinal,
-                       static_cast<std::uint64_t>(seg.frames.size())});
-    rec.frames.insert(rec.frames.end(),
-                      std::make_move_iterator(seg.frames.begin()),
-                      std::make_move_iterator(seg.frames.end()));
+    sealed_.push_back(
+        {segment_path(path, kept[i].first), active_base_, kept[i].second});
+    active_base_ += kept[i].second;
   }
-  const Kept& last = kept.back();
-  active_index_ = last.index;
-  active_base_ = last.contents.base_ordinal;
-  FrameLog::Recovery r = log_.open(segment_path(path, last.index), fleet_hash,
-                                   true, 2, active_base_);
+  active_index_ = kept.back().first;
+  FrameLog::Recovery r = log_.open(segment_path(path, active_index_),
+                                   fleet_hash, true, 2, active_base_);
   active_count_ = r.frames.size();
   rec.torn_tail = r.torn_tail;
-  rec.frames.insert(rec.frames.end(), std::make_move_iterator(r.frames.begin()),
-                    std::make_move_iterator(r.frames.end()));
+  append_frames(rec.frames, r.frames);
   rec.base_ordinal = sealed_.empty() ? active_base_ : sealed_.front().base;
   rec.segments = sealed_.size() + 1;
   return rec;
 }
 
-void SegmentedFrameLog::rotate() {
-  log_.sync();
+bool SegmentedFrameLog::rotate() {
+  if (!log_.sync()) return false;
   log_.close();
   sealed_.push_back(
       {segment_path(path_, active_index_), active_base_, active_count_});
   ++active_index_;
   active_base_ += active_count_;
   active_count_ = 0;
-  log_.open(segment_path(path_, active_index_), fleet_hash_, false, 2,
-            active_base_);
+  try {
+    log_.open(segment_path(path_, active_index_), fleet_hash_, false, 2,
+              active_base_);
+  } catch (const std::runtime_error&) {
+    return false;  // the log stays closed: every later append fails too
+  }
+  return true;
 }
 
-void SegmentedFrameLog::append(const Frame& frame, bool sync) {
-  if (segment_frames_ > 0 && active_count_ >= segment_frames_) rotate();
-  log_.append(frame, sync);
-  // A hard write error closes the inner log; the frame did not land.
-  if (log_.is_open()) ++active_count_;
+bool SegmentedFrameLog::append(const Frame& frame, bool sync) {
+  if (segment_frames_ > 0 && active_count_ >= segment_frames_ && !rotate())
+    return false;
+  if (!log_.append(frame, sync)) return false;
+  ++active_count_;
+  return true;
 }
 
 std::size_t SegmentedFrameLog::reclaim_before(std::uint64_t ordinal) {

@@ -8,11 +8,11 @@
 // DecisionBatch the controller emits is appended before it is reported, so
 // a SIGKILL between any two batches leaves a resumable prefix.
 //
-// The format extends the sweep-journal idiom (sweep/journal) to an
-// open-ended stream: a header binds the file to one fleet configuration
-// (magic + version + fleet-config hash), and each record is one protocol
-// frame — already kind/length/checksum framed by service/protocol — written
-// with a single write(). Recovery at open():
+// Both are RecordLog files (runtime/record_log), like the sweep journal: a
+// header binds the file to one fleet configuration (magic + version +
+// fleet-config hash), and each record is one protocol frame — already
+// kind/length/checksum framed by service/protocol — written with a single
+// write(). Recovery at open():
 //  - header missing/unreadable or fleet hash mismatch: the log is *stale*
 //    (the fleet shape changed); it is truncated and rewritten. Resuming
 //    never mixes streams across fleet configurations.
@@ -31,111 +31,62 @@
 #include <string>
 #include <vector>
 
+#include "runtime/record_log.h"
 #include "service/protocol.h"
-#include "util/thread_annotations.h"
 
 namespace vmcw::service {
 
-/// Pluggable file-I/O + clock surface under FrameLog appends. The default
-/// implementation is the real thing (::write / ::fdatasync / a monotonic
-/// clock); the chaos layer substitutes hooks that inject partial writes,
-/// EINTR, write errors and fsync stalls on a deterministic schedule
-/// (chaos/io_faults), which is how the ingestion path's WAL-stall shedding
-/// is tested without a real slow disk. `now()` is the *only* sanctioned
-/// wall-clock read in the service layer (vmcw_lint.conf): it feeds the
-/// fsync-latency measurement, which is observational (metrics + the shed
-/// watermark) and never reaches decision bytes.
-class WalIoHooks {
- public:
-  virtual ~WalIoHooks() = default;
-
-  /// write(2) semantics: bytes written, or -1 with errno set. May write
-  /// short; FrameLog retries short writes and EINTR.
-  virtual long write_some(int fd, const std::uint8_t* data, std::size_t size);
-
-  /// fdatasync(2) semantics: 0 on success, -1 with errno set.
-  virtual int sync(int fd);
-
-  /// Monotonic seconds; only used to measure sync() latency.
-  virtual double now();
-};
-
-/// The process-default hooks instance (real I/O).
-WalIoHooks& default_wal_io_hooks();
+// The file-I/O hooks live with the append path in runtime/record_log;
+// service-layer callers and hook subclasses name them from here.
+using vmcw::default_wal_io_hooks;
+using vmcw::WalIoHooks;
 
 /// Append-side handle on a frame WAL (telemetry input or decision output).
 class FrameLog {
  public:
-  /// What open() recovered from an existing log.
-  struct Recovery {
+  /// What open() recovered from an existing log: the record log's
+  /// verdict (stale, torn tail, content hash) plus the intact frames.
+  struct Recovery : RecordLog::Recovery {
     std::vector<Frame> frames;  ///< intact frames, in append order
-    bool stale = false;         ///< existing log was for a different fleet
-    bool torn_tail = false;     ///< trailing partial/corrupt frame dropped
-    std::size_t bytes_discarded = 0;  ///< size of the discarded tail
-    /// FNV-1a 64 over the valid byte range (header + intact frames) as
-    /// recovered; replaying these bytes reproduces the stream exactly.
-    std::uint64_t content_hash = 0;
   };
-
-  FrameLog() = default;
-  ~FrameLog();
-
-  FrameLog(const FrameLog&) = delete;
-  FrameLog& operator=(const FrameLog&) = delete;
 
   /// Open (creating if needed) the log at `path` bound to `fleet_hash`.
   /// With `resume`, an existing matching log's intact frames are
   /// recovered; without it — or when the log is stale or unreadable — the
-  /// file is rewritten with a fresh header. Throws std::runtime_error only
-  /// when the path cannot be created at all. `version` selects the header
-  /// layout: 1 is the standalone single-file WAL; 2 stamps `base_ordinal`
-  /// (the global index of the file's first frame) for segment-chain files
-  /// — SegmentedFrameLog is the only caller that passes 2.
+  /// file is rewritten with a fresh header. Throws std::runtime_error when
+  /// the path cannot be created or its header written. `version` selects
+  /// the header layout: 1 is the standalone single-file WAL; 2 stamps
+  /// `base_ordinal` (the global index of the file's first frame) for
+  /// segment-chain files — SegmentedFrameLog is the only caller that
+  /// passes 2.
   Recovery open(const std::string& path, std::uint64_t fleet_hash, bool resume,
-                std::uint32_t version = 1, std::uint64_t base_ordinal = 0)
-      VMCW_EXCLUDES(mutex_);
+                std::uint32_t version = 1, std::uint64_t base_ordinal = 0);
 
-  bool is_open() const VMCW_EXCLUDES(mutex_) {
-    MutexLock lk(mutex_);
-    return fd_ >= 0;
-  }
+  bool is_open() const { return log_.is_open(); }
 
   /// Append one frame as a single write(). With `sync` (the default) the
   /// record is fdatasync'd before returning — the WAL-first guarantee;
-  /// bulk producers (the churn generator) batch with sync=false and call
-  /// sync() once at the end. Interrupted (EINTR) and short writes are
-  /// retried; a hard write error closes the log rather than risk a torn
-  /// interleave. Every synced append's fsync latency is recorded into
-  /// MetricsRegistry ("service.wal_fsync_seconds") and kept readable via
-  /// last_sync_seconds() — one measurement shared by the telemetry
-  /// sidecars and the ingestion stall detector.
-  void append(const Frame& frame, bool sync = true) VMCW_EXCLUDES(mutex_);
+  /// bulk producers batch with sync=false and call sync() at the end.
+  /// False when the frame is not known durable: the log is then closed
+  /// for good (runtime/record_log) and the daemon fail-stops. Every sync's
+  /// latency goes to MetricsRegistry ("service.wal_fsync_seconds") and to
+  /// last_sync_seconds(), which the ingestion stall detector reads.
+  bool append(const Frame& frame, bool sync = true);
 
-  void sync() VMCW_EXCLUDES(mutex_);
-  void close() VMCW_EXCLUDES(mutex_);
+  bool sync() { return log_.sync(); }
+  void close() { log_.close(); }
 
   /// Install I/O hooks (nullptr restores the real default). Call before
-  /// sharing the log across threads; the pointer itself is unguarded.
-  void set_io_hooks(WalIoHooks* hooks) noexcept {
-    hooks_ = hooks != nullptr ? hooks : &default_wal_io_hooks();
-  }
+  /// sharing the log across threads.
+  void set_io_hooks(WalIoHooks* hooks) noexcept { log_.set_io_hooks(hooks); }
 
   /// Latency of the most recent fdatasync (seconds); 0 before the first.
   /// The ingestion front-end's WAL-stall detector reads this after every
   /// durable append.
-  double last_sync_seconds() const VMCW_EXCLUDES(mutex_) {
-    MutexLock lk(mutex_);
-    return last_sync_seconds_;
-  }
+  double last_sync_seconds() const { return log_.last_sync_seconds(); }
 
  private:
-  void close_locked() VMCW_REQUIRES(mutex_);
-  void sync_locked() VMCW_REQUIRES(mutex_);
-
-  mutable Mutex mutex_;
-  int fd_ VMCW_GUARDED_BY(mutex_) = -1;
-  double last_sync_seconds_ VMCW_GUARDED_BY(mutex_) = 0.0;
-  WalIoHooks* hooks_ = &default_wal_io_hooks();
+  RecordLog log_{"service.wal_fsync_seconds"};
 };
 
 /// A recorded WAL, read without modifying the file (replay mode).
@@ -181,7 +132,7 @@ std::string segment_path(const std::string& path, std::size_t index);
 /// are never deleted (DESIGN.md §9 retention invariant).
 ///
 /// Rotation state is writer-thread-owned like the rest of the append path;
-/// the inner FrameLog keeps its own lock for the observational readers
+/// the inner RecordLog keeps its own lock for the observational readers
 /// (last_sync_seconds).
 class SegmentedFrameLog {
  public:
@@ -200,8 +151,9 @@ class SegmentedFrameLog {
                 std::uint64_t segment_frames);
 
   /// Append one frame, rotating first when the active segment is full.
-  void append(const Frame& frame, bool sync = true);
-  void sync() { log_.sync(); }
+  /// False when the frame is not known durable (FrameLog::append).
+  bool append(const Frame& frame, bool sync = true);
+  bool sync() { return log_.sync(); }
   void close() { log_.close(); }
   bool is_open() const { return log_.is_open(); }
   double last_sync_seconds() const { return log_.last_sync_seconds(); }
@@ -228,7 +180,7 @@ class SegmentedFrameLog {
     std::uint64_t frames = 0;
   };
 
-  void rotate();
+  bool rotate();
 
   FrameLog log_;
   std::string path_;

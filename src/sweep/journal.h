@@ -8,6 +8,10 @@
 // the cell count), and each completed SweepCellResult is appended as one
 // length- and checksum-framed record written with a single write() and
 // fdatasync'd, so a record is either fully present or detectably torn.
+// The file discipline is RecordLog's (runtime/record_log); this file owns
+// only the header and record formats. A failed write or fdatasync stops
+// journaling for good — no record ever follows it — and the sweep keeps
+// computing; a resume recomputes whatever the journal lacks.
 //
 // Recovery rules, applied at open():
 //  - header missing/unreadable, or grid hash / cell count mismatch: the
@@ -35,8 +39,8 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/record_log.h"
 #include "sweep/sweep.h"
-#include "util/thread_annotations.h"
 
 namespace vmcw {
 
@@ -47,38 +51,29 @@ std::uint64_t sweep_grid_hash(std::span<const SweepCell> cells);
 
 class SweepJournal {
  public:
-  /// What open() recovered from an existing journal.
-  struct Recovery {
+  /// What open() recovered from an existing journal: the record log's
+  /// verdict (stale grid, torn tail) plus the replayable records.
+  struct Recovery : RecordLog::Recovery {
     /// Terminal cell records, in append order (at most one per index is
     /// kept — the last wins).
     std::vector<SweepCellResult> results;
     /// Highest failed-attempt number journaled per cell index, for cells
     /// without a terminal record yet.
     std::vector<std::pair<std::size_t, int>> attempts_used;
-    bool stale = false;      ///< existing journal was for a different grid
-    bool torn_tail = false;  ///< trailing partial/corrupt record dropped
-    std::size_t bytes_discarded = 0;  ///< size of the discarded tail
   };
-
-  SweepJournal() = default;
-  ~SweepJournal();
-
-  SweepJournal(const SweepJournal&) = delete;
-  SweepJournal& operator=(const SweepJournal&) = delete;
 
   /// Open (creating if needed) the journal at `path` for the grid
   /// identified by (grid_hash, cell_count). With `resume`, an existing
   /// matching journal's records are recovered; without it — or when the
   /// journal is stale or unreadable — the file is rewritten with a fresh
   /// header. Throws std::runtime_error only when the path cannot be
-  /// created at all.
+  /// created at all; a journal that cannot be rewritten stays closed.
   Recovery open(const std::string& path, std::uint64_t grid_hash,
-                std::size_t cell_count, bool resume) VMCW_EXCLUDES(mutex_);
+                std::size_t cell_count, bool resume);
 
-  bool is_open() const VMCW_EXCLUDES(mutex_) {
-    MutexLock lk(mutex_);
-    return fd_ >= 0;
-  }
+  /// False once journaling stopped: never opened, or an append or its
+  /// fdatasync failed (the sweep keeps computing without it).
+  bool is_open() const { return log_.is_open(); }
 
   /// Append a terminal record for one cell. Thread-safe; the record is a
   /// single write() followed by fdatasync, so a crash leaves either no
@@ -89,16 +84,17 @@ class SweepJournal {
   void append_failed_attempt(std::size_t index, int attempt,
                              CellStatus status, const std::string& error);
 
-  void close() VMCW_EXCLUDES(mutex_);
+  /// Route appends through `hooks` (nullptr restores real I/O); how tests
+  /// inject journal write and fsync failures. Call before open().
+  void set_io_hooks(WalIoHooks* hooks) noexcept { log_.set_io_hooks(hooks); }
+
+  void close() { log_.close(); }
 
  private:
   void append_record(std::uint8_t kind,
-                     const std::vector<std::uint8_t>& payload)
-      VMCW_EXCLUDES(mutex_);
-  void close_locked() VMCW_REQUIRES(mutex_);
+                     const std::vector<std::uint8_t>& payload);
 
-  mutable Mutex mutex_;
-  int fd_ VMCW_GUARDED_BY(mutex_) = -1;
+  RecordLog log_;
 };
 
 }  // namespace vmcw

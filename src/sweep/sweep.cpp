@@ -194,6 +194,7 @@ std::vector<SweepCellResult> SweepDriver::run(
 
   // Open the journal (if any) and replay what a previous run finished.
   SweepJournal journal;
+  journal.set_io_hooks(journal_hooks_);
   std::vector<bool> replayed(cells.size(), false);
   std::vector<int> attempts_used(cells.size(), 0);
   if (!options.journal_path.empty()) {

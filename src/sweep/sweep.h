@@ -25,6 +25,8 @@
 
 namespace vmcw {
 
+class WalIoHooks;  // runtime/record_log
+
 /// One independent experiment: generate the estate from `spec` seeded by
 /// the cell, observe it through the monitoring pipeline, plan with
 /// `strategy`, and replay the ground truth against the plan.
@@ -109,8 +111,12 @@ struct SweepOptions {
 
 class SweepDriver {
  public:
-  /// pool == nullptr uses ThreadPool::global().
-  explicit SweepDriver(ThreadPool* pool = nullptr) : pool_(pool) {}
+  /// pool == nullptr uses ThreadPool::global(). `journal_hooks` routes
+  /// the journal's appends (nullptr: real I/O); how tests drive a failing
+  /// journal disk through a whole sweep.
+  explicit SweepDriver(ThreadPool* pool = nullptr,
+                       WalIoHooks* journal_hooks = nullptr)
+      : pool_(pool), journal_hooks_(journal_hooks) {}
 
   /// Cartesian grid in row-major order: specs x settings x strategies x
   /// seeds.
@@ -133,6 +139,7 @@ class SweepDriver {
 
  private:
   ThreadPool* pool_;
+  WalIoHooks* journal_hooks_;
 };
 
 }  // namespace vmcw

@@ -1,13 +1,17 @@
 // Network ingestion front-end: the bounded ingress queue, the collector's
 // retry schedule, protocol decode under fuzzed input, the deterministic
 // I/O fault plan, the WAL's hooked I/O (EINTR, short writes, injected
-// fsync stalls), and the end-to-end contracts over real Unix sockets —
-// multi-collector chaos runs whose WAL replays byte-identical at any
-// thread count, WAL-stall shedding that never drops an acked frame, and
-// exactly-once WAL semantics across a daemon crash + resume.
+// fsync stalls, EIO/ENOSPC and failed fsyncs), and the end-to-end
+// contracts over real Unix sockets — multi-collector chaos runs whose WAL
+// replays byte-identical at any thread count, WAL-stall shedding that
+// never drops an acked frame, fail-stop that never Acks what the WAL did
+// not store, and exactly-once WAL semantics across a daemon crash +
+// resume.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <filesystem>
@@ -315,24 +319,6 @@ class FlakyWalHooks : public WalIoHooks {
   std::uint64_t calls_ = 0;
 };
 
-/// Hooks that hard-fail every write after the first `allowed` calls.
-class FailingWalHooks : public WalIoHooks {
- public:
-  explicit FailingWalHooks(std::uint64_t allowed) : allowed_(allowed) {}
-  long write_some(int fd, const std::uint8_t* data,
-                  std::size_t size) override {
-    if (calls_++ >= allowed_) {
-      errno = EIO;
-      return -1;
-    }
-    return WalIoHooks::write_some(fd, data, size);
-  }
-
- private:
-  std::uint64_t allowed_ = 0;
-  std::uint64_t calls_ = 0;
-};
-
 TEST(WalIoHooks, ShortWritesAndEintrStillProduceAnIntactLog) {
   const std::string dir = temp_dir("vmcw_ingest_flaky");
   const std::string path = dir + "/flaky.wal";
@@ -355,17 +341,23 @@ TEST(WalIoHooks, HardWriteErrorClosesTheLogInsteadOfTearingIt) {
   const std::string dir = temp_dir("vmcw_ingest_eio");
   const std::string path = dir + "/eio.wal";
 
-  // Enough budget for one frame (the header write predates the hooks'
-  // surface — open() is not an append), then the disk "dies".
-  FailingWalHooks hooks(/*allowed=*/1);
+  // Enough budget for one frame (the header write is not an append, so the
+  // hooks do not see it), then the disk "dies".
+  IoFaultPlan plan;
+  plan.force_write_error(/*write=*/1, EIO);
+  PlannedWalHooks hooks(plan);
   FrameLog log;
   log.set_io_hooks(&hooks);
   log.open(path, fleet_config_hash(ControllerConfig{}), /*resume=*/false);
-  log.append(HeartbeatFrame{1});
+  EXPECT_TRUE(log.append(HeartbeatFrame{1}));
   EXPECT_TRUE(log.is_open());
-  log.append(HeartbeatFrame{2});  // hits the injected EIO
+  EXPECT_FALSE(log.append(HeartbeatFrame{2}));  // hits the injected EIO
   EXPECT_FALSE(log.is_open());
-  log.append(HeartbeatFrame{3});  // no-op on a closed log, not a crash
+  // The failure latches: a later append or sync fails without touching
+  // the disk, and never "succeeds" past the lost frame.
+  EXPECT_FALSE(log.append(HeartbeatFrame{3}));
+  EXPECT_FALSE(log.sync());
+  EXPECT_EQ(hooks.writes(), 2u);
 
   // Whatever is on disk is intact: no partial interleave from the failed
   // append.
@@ -380,7 +372,7 @@ TEST(WalIoHooks, InjectedStallIsMeasuredAndRecordedToMetrics) {
 
   IoFaultPlan plan;
   plan.force_stall_window(/*first_append=*/0, /*appends=*/100, 0.123);
-  StallingWalHooks hooks(plan);
+  PlannedWalHooks hooks(plan);
 
   MetricsRegistry::global().clear();
   FrameLog log;
@@ -396,6 +388,68 @@ TEST(WalIoHooks, InjectedStallIsMeasuredAndRecordedToMetrics) {
   ASSERT_GE(hist.count, 1u);
   EXPECT_NEAR(hist.max, 0.123, 1e-9);
   EXPECT_GE(hooks.syncs(), 1u);
+}
+
+TEST(WalIoHooks, ShortWriteThenEnospcKeepsOnlyTheDurablePrefix) {
+  const std::string dir = temp_dir("vmcw_ingest_enospc");
+  const auto frames = small_churn();
+  const std::vector<Frame> durable(frames.begin(), frames.begin() + 5);
+
+  // Write 5 runs out of space: half of it lands (a short write), and the
+  // retry of the rest fails with ENOSPC.
+  IoFaultPlan plan;
+  plan.force_write_error(/*write=*/5, ENOSPC);
+  PlannedWalHooks hooks(plan);
+  Daemon::Options o;
+  o.wal_path = dir + "/live.wal";
+  o.decisions_path = dir + "/live.decisions";
+  o.segment_frames = 4;
+  {
+    Daemon daemon(ControllerConfig{}, o);
+    daemon.set_io_hooks(&hooks);
+    daemon.open();
+    EXPECT_TRUE(daemon.append_many(durable));
+    EXPECT_FALSE(daemon.append_many({frames[5], frames[6]}));
+    // WAL-first holds after the failure: ingest refuses before applying.
+    EXPECT_THROW(daemon.ingest(frames[7]), std::runtime_error);
+    EXPECT_EQ(daemon.frames_applied(), 0u);
+    daemon.close();
+  }
+
+  // On disk: the durable prefix plus a torn half frame, which a resume
+  // truncates away.
+  EXPECT_TRUE(read_segmented_wal(o.wal_path).torn_tail);
+  o.resume = true;
+  Daemon resumed(ControllerConfig{}, o);
+  const auto opened = resumed.open();
+  EXPECT_EQ(opened.wal_frames, durable);
+  resumed.close();
+  const WalContents wal = read_segmented_wal(o.wal_path);
+  EXPECT_FALSE(wal.torn_tail);
+  EXPECT_EQ(wal.frames, durable);
+}
+
+TEST(WalIoHooks, FailedFsyncIsNeverRetried) {
+  const std::string dir = temp_dir("vmcw_ingest_fsyncfail");
+  const auto frames = small_churn();
+  IoFaultPlan plan;
+  plan.force_fsync_error(/*sync=*/1);
+  PlannedWalHooks hooks(plan);
+  Daemon::Options o;
+  o.wal_path = dir + "/live.wal";
+  o.decisions_path = dir + "/live.decisions";
+  Daemon daemon(ControllerConfig{}, o);
+  daemon.set_io_hooks(&hooks);
+  daemon.open();
+  EXPECT_TRUE(daemon.append_many({frames[0]}));   // sync 0
+  EXPECT_FALSE(daemon.append_many({frames[1]}));  // sync 1 fails
+  // After a failed fsync the kernel may have dropped the dirty pages, so
+  // a later fsync that "succeeds" proves nothing: no probe or append ever
+  // reaches the disk again.
+  EXPECT_FALSE(daemon.probe_wal());
+  EXPECT_FALSE(daemon.append_many({frames[2]}));
+  EXPECT_EQ(hooks.syncs(), 2u);
+  daemon.close();
 }
 
 // ----------------------------------------------------------- partitioning
@@ -443,6 +497,7 @@ struct ServeResult {
   IngestStats ingest;
   DaemonStats daemon;
   std::vector<CollectorStats> collectors;
+  std::size_t collectors_gave_up = 0;  ///< run() exhausted its retry budget
 };
 
 /// Run one daemon + IngestServer on a Unix socket and N in-process
@@ -452,7 +507,8 @@ ServeResult serve_churn(const std::string& dir,
                         std::size_t collectors, std::size_t agents,
                         const IoFaultPlan* plan,
                         WalIoHooks* wal_hooks = nullptr,
-                        IngestOptions options = {}) {
+                        IngestOptions options = {},
+                        std::size_t collector_attempts = 200) {
   Daemon::Options daemon_options;
   daemon_options.wal_path = dir + "/live.wal";
   daemon_options.decisions_path = dir + "/live.decisions";
@@ -469,6 +525,7 @@ ServeResult serve_churn(const std::string& dir,
   const auto parts = partition_stream(frames, collectors, agents);
   ServeResult result;
   result.collectors.resize(collectors);
+  std::atomic<std::size_t> gave_up{0};
   std::vector<std::thread> clients;
   clients.reserve(collectors);
   for (std::size_t i = 0; i < collectors; ++i) {
@@ -477,10 +534,15 @@ ServeResult serve_churn(const std::string& dir,
       copts.unix_path = options.unix_path;
       copts.peer = "collector-" + std::to_string(i);
       copts.fleet_hash = fleet_config_hash(ControllerConfig{});
+      copts.max_attempts = collector_attempts;
       std::optional<PlannedTransportFaults> faults;
       if (plan != nullptr && plan->any()) faults.emplace(*plan, i);
       CollectorClient client(copts, faults ? &*faults : nullptr);
-      result.collectors[i] = client.run(parts[i]);
+      try {
+        result.collectors[i] = client.run(parts[i]);
+      } catch (const std::runtime_error&) {
+        gave_up.fetch_add(1);  // the daemon stopped for good
+      }
     });
   }
   for (auto& t : clients) t.join();
@@ -488,7 +550,23 @@ ServeResult serve_churn(const std::string& dir,
   daemon.close();
   result.ingest = server.stats();
   result.daemon = daemon.stats();
+  result.collectors_gave_up = gave_up.load();
   return result;
+}
+
+/// "Ack means durable" for a one-collector run: the server Acks new frames
+/// in stream order and counts them in messages_ingested, so every Acked
+/// frame is in the WAL iff the WAL starts with that many stream frames.
+void expect_acked_frames_durable(const std::string& dir,
+                                 const std::vector<Frame>& stream,
+                                 const IngestStats& ingest) {
+  const WalContents wal = read_segmented_wal(dir + "/live.wal");
+  const std::size_t acked = ingest.messages_ingested;
+  ASSERT_LE(acked, wal.frames.size())
+      << acked << " frames Acked, " << wal.frames.size() << " in the WAL";
+  EXPECT_TRUE(std::equal(stream.begin(),
+                         stream.begin() + static_cast<std::ptrdiff_t>(acked),
+                         wal.frames.begin()));
 }
 
 /// The serve-mode determinism contract: the WAL the run produced replays
@@ -568,7 +646,7 @@ TEST(IngestServer, WalStallShedsToHeartbeatOnlyAndRecovers) {
   // through the window, so recovery needs no cooperating traffic.
   IoFaultPlan plan;
   plan.force_stall_window(/*first_append=*/6, /*appends=*/20, 0.2);
-  StallingWalHooks hooks(plan);
+  PlannedWalHooks hooks(plan);
 
   IngestOptions options;
   options.shed_fsync_seconds = 0.050;
@@ -594,6 +672,49 @@ TEST(IngestServer, WalStallShedsToHeartbeatOnlyAndRecovers) {
   const WalContents wal = read_frame_log(dir + "/live.wal");
   EXPECT_EQ(wal.frames, parts[0]);
   expect_replay_identity(dir);
+}
+
+TEST(IngestServer, AckedFramesAreDurableWhenAWalWriteFails) {
+  const std::string dir = temp_dir("vmcw_ingest_walfail");
+  const auto frames = small_churn();
+  const auto parts = partition_stream(frames, 1, 4);
+
+  // EIO on the 21st write (WAL and decision log share the hooks), one
+  // frame per writer batch.
+  IoFaultPlan plan;
+  plan.force_write_error(/*write=*/20, EIO);
+  PlannedWalHooks hooks(plan);
+  IngestOptions options;
+  options.max_batch_frames = 1;
+  const auto result = serve_churn(dir, frames, /*collectors=*/1,
+                                  /*agents=*/4, /*plan=*/nullptr, &hooks,
+                                  options, /*collector_attempts=*/4);
+
+  EXPECT_TRUE(result.ingest.storage_failed);
+  EXPECT_EQ(result.collectors_gave_up, 1u);  // nobody left to deliver to
+  EXPECT_LT(result.ingest.messages_ingested, parts[0].size());
+  EXPECT_GE(result.ingest.rejects_sent, 1u);
+  expect_acked_frames_durable(dir, parts[0], result.ingest);
+}
+
+TEST(IngestServer, FailedWalFsyncStopsWithoutAcking) {
+  const std::string dir = temp_dir("vmcw_ingest_syncfail");
+  const auto frames = small_churn();
+  const auto parts = partition_stream(frames, 1, 4);
+
+  IoFaultPlan plan;
+  plan.force_fsync_error(/*sync=*/12);
+  PlannedWalHooks hooks(plan);
+  IngestOptions options;
+  options.max_batch_frames = 1;
+  const auto result = serve_churn(dir, frames, /*collectors=*/1,
+                                  /*agents=*/4, /*plan=*/nullptr, &hooks,
+                                  options, /*collector_attempts=*/4);
+
+  EXPECT_TRUE(result.ingest.storage_failed);
+  EXPECT_GT(result.ingest.messages_ingested, 0u);
+  EXPECT_LT(result.ingest.messages_ingested, parts[0].size());
+  expect_acked_frames_durable(dir, parts[0], result.ingest);
 }
 
 TEST(IngestServer, BadHelloIsAFatalReject) {

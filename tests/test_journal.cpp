@@ -1,5 +1,6 @@
-// Durable sweep execution: crash-safe journal, resume byte-identity,
-// per-cell failure isolation, watchdog timeouts, and retry accounting.
+// Durable sweep execution: crash-safe journal, resume byte-identity, a
+// failing journal disk, per-cell failure isolation, watchdog timeouts, and
+// retry accounting.
 
 #include "sweep/journal.h"
 
@@ -11,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "chaos/io_faults.h"
+#include "service/io_fault_hooks.h"
 #include "sweep/sweep.h"
 #include "runtime/telemetry.h"
 #include "runtime/thread_pool.h"
@@ -216,6 +219,39 @@ TEST(SweepJournal, KilledSweepResumesByteIdenticalAtAnyThreadCount) {
     for (std::size_t i = 0; i < reference.size(); ++i)
       expect_results_equal(resumed[i], reference[i]);
   }
+}
+
+TEST(SweepJournal, FailedFsyncStopsJournalingButNotTheSweep) {
+  const auto cells = faulted_grid();
+  const auto reference = SweepDriver().run(cells);
+
+  // The third record's fdatasync fails. Journaling stops there for good;
+  // the sweep keeps computing and its results do not change.
+  IoFaultPlan plan;
+  plan.force_fsync_error(/*sync=*/2);
+  PlannedWalHooks hooks(plan);
+  TempFile journal_file("test_journal_fsyncfail.bin");
+  SweepOptions options;
+  options.journal_path = journal_file.path;
+  const auto journaled = SweepDriver(nullptr, &hooks).run(cells, options);
+  ASSERT_EQ(journaled.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    expect_results_equal(journaled[i], reference[i]);
+  // No record follows the failed sync: three writes, three syncs, done.
+  EXPECT_EQ(hooks.writes(), 3u);
+  EXPECT_EQ(hooks.syncs(), 3u);
+
+  // A resume replays the three records on disk and recomputes the rest.
+  options.resume = true;
+  const std::uint64_t replayed_before =
+      MetricsRegistry::global().counter("sweep.journal.cells_replayed");
+  const auto resumed = SweepDriver().run(cells, options);
+  EXPECT_EQ(
+      MetricsRegistry::global().counter("sweep.journal.cells_replayed"),
+      replayed_before + 3);
+  ASSERT_EQ(resumed.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    expect_results_equal(resumed[i], reference[i]);
 }
 
 TEST(SweepJournal, StaleJournalFromEditedGridIsDiscarded) {

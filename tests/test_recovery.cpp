@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -132,8 +133,10 @@ TEST(Snapshot, WriteReadRoundTrip) {
   EXPECT_EQ(back.controller_state, data.controller_state);
   EXPECT_EQ(back.ack_marks, data.ack_marks);
 
-  // The write is atomic rename: no .tmp litter survives success.
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  // The write is atomic rename: no temp-file litter survives success.
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                          fs::directory_iterator()),
+            1);
 }
 
 TEST(Snapshot, RewriteReplacesAtomically) {
@@ -595,19 +598,6 @@ TEST(Recovery, FreshOpenRemovesTheStreamsOldSnapshot) {
 
 // --------------------------------------------------- batched WAL writes
 
-/// Hooks that count fdatasync calls (and pass them through).
-class CountingSyncHooks : public WalIoHooks {
- public:
-  int sync(int fd) override {
-    ++syncs_;
-    return WalIoHooks::sync(fd);
-  }
-  std::uint64_t syncs() const noexcept { return syncs_; }
-
- private:
-  std::uint64_t syncs_ = 0;
-};
-
 TEST(Recovery, AppendManyIssuesOneSyncForTheWholeBatch) {
   const std::string dir = temp_dir("vmcw_rec_batchsync");
   const auto frames = small_churn();
@@ -616,7 +606,8 @@ TEST(Recovery, AppendManyIssuesOneSyncForTheWholeBatch) {
   Daemon::Options o;
   o.wal_path = dir + "/batch.wal";
   o.decisions_path = dir + "/batch.decisions";
-  CountingSyncHooks hooks;
+  const IoFaultPlan clean;  // no faults: the hooks only count syncs
+  PlannedWalHooks hooks(clean);
   Daemon daemon(ControllerConfig{}, o);
   daemon.set_io_hooks(&hooks);
   daemon.open();
@@ -879,7 +870,7 @@ TEST(Recovery, DaemonCrashMidIngestRecoversAndFinishesIdentically) {
   // slow by an injected fsync stall so the "crash" lands mid-ingest.
   IoFaultPlan stall;
   stall.force_stall_window(0, 1u << 20, 0.02);
-  StallingWalHooks hooks(stall);
+  PlannedWalHooks hooks(stall);
 
   Daemon::Options opts = bounded_options(dir, false, false);
   opts.snapshot_every_frames = 8;

@@ -21,6 +21,13 @@ struct PresetCase {
   int servers;
 };
 
+// Without this gtest prints the raw bytes of the case, pointer and padding
+// included, and those bytes land in the test names CTest discovers, so the
+// names changed with every build.
+void PrintTo(const PresetCase& c, std::ostream* os) {
+  *os << c.name << ", " << c.servers << " servers";
+}
+
 class StudyPreset : public ::testing::TestWithParam<PresetCase> {
  protected:
   StudyResult run() const {

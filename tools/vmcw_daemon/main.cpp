@@ -23,7 +23,8 @@
 //       Serve the ingestion protocol on a Unix socket (and optionally
 //       loopback TCP): accept framed telemetry from K vmcw_collector
 //       processes, serialize it WAL-first, and exit once K Shutdown
-//       frames are durable. The WAL the serve run leaves behind replays
+//       frames are durable (or exit 1 once a WAL write or fsync fails —
+//       fail-stop). The WAL the serve run leaves behind replays
 //       to the exact decision log the live run wrote. The bounded-recovery
 //       flags (DESIGN.md §9) turn on controller snapshots, WAL segment
 //       rotation with reclamation (--keep-segments retains the full chain
@@ -100,6 +101,11 @@ int serve(Daemon::Options daemon_options, const IngestOptions& ingest_options) {
               "%zu holds, %zu degraded ticks\n",
               stats.batches, stats.admits, stats.migrations, stats.holds,
               stats.degraded_ticks);
+  if (in.storage_failed) {
+    // Fail-stop: the supervisor restarts from what is durable.
+    std::fprintf(stderr, "vmcw_daemon: WAL write or fsync failed; stopped\n");
+    return 1;
+  }
   return 0;
 }
 
@@ -109,7 +115,10 @@ int gen_wal(const std::string& path, const ChurnOptions& churn) {
   FrameLog wal;
   wal.open(path, fleet_config_hash(config), /*resume=*/false);
   for (const Frame& frame : frames) wal.append(frame, /*sync=*/false);
-  wal.sync();
+  if (!wal.sync()) {  // a failed append closed the log, so this fails too
+    std::fprintf(stderr, "vmcw_daemon: cannot write %s\n", path.c_str());
+    return 1;
+  }
   wal.close();
   std::printf("wrote %zu frames to %s (vms=%zu ticks=%zu seed=%llu)\n",
               frames.size(), path.c_str(), churn.initial_vms, churn.ticks,

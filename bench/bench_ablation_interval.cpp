@@ -10,8 +10,8 @@
 #include <cstdio>
 
 #include "common.h"
-#include "core/dynamic.h"
 #include "core/migration_scheduler.h"
+#include "core/planners.h"
 
 using namespace vmcw;
 
@@ -34,15 +34,15 @@ int main(int argc, char** argv) {
     StudySettings settings = bench::baseline_settings();
     settings.interval_hours = hours;
     const auto study = run_study(dc, settings);
-    const auto& dyn = study.get(Algorithm::kDynamic);
+    const auto& dyn = study.get(Strategy::kDynamic);
     if (hours == 2) power_2h = dyn.power_cost;
 
     // Execution step: can the migrations of each interval actually finish
     // inside it? (2 concurrent migrations per host, 1 GbE, pre-copy.)
-    const auto plan = plan_dynamic(vms, settings);
+    const auto plan = plan_strategy(Strategy::kDynamic, vms, settings);
     ExecutionFeasibility feasibility;
     if (plan)
-      feasibility = execution_feasibility(plan->per_interval, vms,
+      feasibility = execution_feasibility(plan->schedule, vms,
                                           settings.eval_begin(),
                                           settings.interval_hours,
                                           MigrationConfig{});

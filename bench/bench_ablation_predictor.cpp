@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       settings.predictor.lookback_days = lookback;
       settings.predictor.cpu_safety_margin = margin;
       const auto study = run_study(dc, settings);
-      const auto& dyn = study.get(Algorithm::kDynamic);
+      const auto& dyn = study.get(Strategy::kDynamic);
       table.add_row(
           {std::to_string(lookback), fmt(margin, 2),
            std::to_string(dyn.provisioned_hosts),

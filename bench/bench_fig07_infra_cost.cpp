@@ -20,14 +20,14 @@ int main(int argc, char** argv) {
   for (const auto& study : studies) {
     space.add_row(
         {study.workload,
-         fmt(study.normalized_space_cost(Algorithm::kSemiStatic), 3),
-         fmt(study.normalized_space_cost(Algorithm::kStochastic), 3),
-         fmt(study.normalized_space_cost(Algorithm::kDynamic), 3),
-         std::to_string(study.get(Algorithm::kSemiStatic).provisioned_hosts) +
+         fmt(study.normalized_space_cost(Strategy::kSemiStatic), 3),
+         fmt(study.normalized_space_cost(Strategy::kStochastic), 3),
+         fmt(study.normalized_space_cost(Strategy::kDynamic), 3),
+         std::to_string(study.get(Strategy::kSemiStatic).provisioned_hosts) +
              "/" +
-             std::to_string(study.get(Algorithm::kStochastic).provisioned_hosts) +
+             std::to_string(study.get(Strategy::kStochastic).provisioned_hosts) +
              "/" +
-             std::to_string(study.get(Algorithm::kDynamic).provisioned_hosts)});
+             std::to_string(study.get(Strategy::kDynamic).provisioned_hosts)});
   }
   std::printf("%s", space.str().c_str());
 
@@ -36,16 +36,16 @@ int main(int argc, char** argv) {
   for (const auto& study : studies) {
     power.add_row(
         {study.workload,
-         fmt(study.normalized_power_cost(Algorithm::kSemiStatic), 3),
-         fmt(study.normalized_power_cost(Algorithm::kStochastic), 3),
-         fmt(study.normalized_power_cost(Algorithm::kDynamic), 3)});
+         fmt(study.normalized_power_cost(Strategy::kSemiStatic), 3),
+         fmt(study.normalized_power_cost(Strategy::kStochastic), 3),
+         fmt(study.normalized_power_cost(Strategy::kDynamic), 3)});
   }
   std::printf("%s", power.str().c_str());
 
   std::printf("\nmigrations per interval (Dynamic):\n");
   TextTable mig({"workload", "total", "mean/interval", "% of VMs/interval"});
   for (std::size_t i = 0; i < studies.size(); ++i) {
-    const auto& dyn = studies[i].get(Algorithm::kDynamic);
+    const auto& dyn = studies[i].get(Strategy::kDynamic);
     const double per_interval =
         static_cast<double>(dyn.total_migrations) /
         static_cast<double>(studies[i].settings.intervals());

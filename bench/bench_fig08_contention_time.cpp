@@ -16,13 +16,13 @@ int main(int argc, char** argv) {
   TextTable table({"workload", "Semi-Static", "Stochastic", "Dynamic",
                    "Dynamic contended host-hours (cpu/mem)"});
   for (const auto& study : studies) {
-    auto cell = [&](Algorithm a) {
+    auto cell = [&](Strategy a) {
       const double f = study.get(a).emulation.contention_time_fraction();
       return f > 0 ? fmt_pct(f) : std::string("-");
     };
-    const auto& dyn = study.get(Algorithm::kDynamic).emulation;
-    table.add_row({study.workload, cell(Algorithm::kSemiStatic),
-                   cell(Algorithm::kStochastic), cell(Algorithm::kDynamic),
+    const auto& dyn = study.get(Strategy::kDynamic).emulation;
+    table.add_row({study.workload, cell(Strategy::kSemiStatic),
+                   cell(Strategy::kStochastic), cell(Strategy::kDynamic),
                    std::to_string(dyn.cpu_contention_samples.size()) + "/" +
                        std::to_string(dyn.mem_contention_samples.size())});
   }

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
 
   for (std::size_t i = 0; i < studies.size(); ++i) {
     const auto& samples =
-        studies[i].get(Algorithm::kDynamic).emulation.cpu_contention_samples;
+        studies[i].get(Strategy::kDynamic).emulation.cpu_contention_samples;
     std::printf("\n%s: %zu contended host-hours\n",
                 bench::subfig_label(fleets[i], i).c_str(), samples.size());
     if (samples.empty()) {

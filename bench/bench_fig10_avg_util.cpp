@@ -12,13 +12,13 @@ int main(int argc, char** argv) {
   const auto fleets = bench::make_fleets(argc, argv);
   const auto studies = bench::run_all_studies(fleets);
 
-  const Algorithm algos[] = {Algorithm::kSemiStatic, Algorithm::kStochastic,
-                             Algorithm::kDynamic};
+  const Strategy algos[] = {Strategy::kSemiStatic, Strategy::kStochastic,
+                            Strategy::kDynamic};
   for (std::size_t i = 0; i < studies.size(); ++i) {
     std::printf("\n%s\n", bench::subfig_label(fleets[i], i).c_str());
     std::vector<std::string> names;
     std::vector<EmpiricalCdf> cdfs;
-    for (Algorithm a : algos) {
+    for (Strategy a : algos) {
       names.push_back(to_string(a));
       cdfs.emplace_back(studies[i].get(a).emulation.host_avg_cpu_util);
     }

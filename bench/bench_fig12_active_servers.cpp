@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const auto studies = bench::run_all_studies(fleets);
 
   for (std::size_t i = 0; i < studies.size(); ++i) {
-    const auto& dyn = studies[i].get(Algorithm::kDynamic);
+    const auto& dyn = studies[i].get(Strategy::kDynamic);
     std::vector<double> fractions;
     fractions.reserve(dyn.emulation.active_hosts_per_interval.size());
     for (auto active : dyn.emulation.active_hosts_per_interval)

@@ -12,7 +12,7 @@
 
 #include "common.h"
 #include "core/emulator.h"
-#include "core/hybrid.h"
+#include "core/planners.h"
 
 using namespace vmcw;
 
@@ -29,17 +29,18 @@ int main(int argc, char** argv) {
     const auto settings = bench::baseline_settings();
     const auto study = run_study(dc, settings);
 
-    const auto hybrid = plan_hybrid(vms, settings, 0.25);
+    const auto hybrid = plan_strategy(Strategy::kHybrid, vms, settings, {},
+                                      /*hybrid_fraction=*/0.25);
     if (!hybrid) continue;
-    const auto hybrid_report =
-        emulate(vms, hybrid->per_interval, settings, /*power_off=*/true);
+    const auto hybrid_report = emulate(vms, hybrid->schedule, settings,
+                                       live_migrates(Strategy::kHybrid));
 
     std::printf("\n%s (%zu servers)\n", dc.industry.c_str(),
                 dc.servers.size());
     TextTable table({"strategy", "hosts", "energy (kWh)", "contention time",
                      "SLA VM-hours", "migrations"});
-    for (Algorithm a : {Algorithm::kSemiStatic, Algorithm::kStochastic,
-                        Algorithm::kDynamic}) {
+    for (Strategy a : {Strategy::kSemiStatic, Strategy::kStochastic,
+                       Strategy::kDynamic}) {
       const auto& r = study.get(a);
       table.add_row({to_string(a), std::to_string(r.provisioned_hosts),
                      fmt(r.emulation.energy_wh / 1000.0, 0),
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
                      std::to_string(r.total_migrations)});
     }
     table.add_row({"Hybrid (25%)",
-                   std::to_string(hybrid->provisioned_hosts()),
+                   std::to_string(hybrid->provisioned_hosts),
                    fmt(hybrid_report.energy_wh / 1000.0, 0),
                    fmt_pct(hybrid_report.contention_time_fraction()),
                    std::to_string(hybrid_report.total_vm_contention_hours),

@@ -43,15 +43,15 @@ void run_one(const WorkloadSpec& spec, double utilization_bound) {
     std::sort(peak.begin(), peak.end());
     const double avg_p50 = avg.empty() ? 0 : avg[avg.size() / 2];
     const double peak_p50 = peak.empty() ? 0 : peak[peak.size() / 2];
-    table.add_row({to_string(r.algorithm), std::to_string(r.provisioned_hosts),
-                   fmt(study.normalized_space_cost(r.algorithm), 3),
-                   fmt(study.normalized_power_cost(r.algorithm), 3),
+    table.add_row({to_string(r.strategy), std::to_string(r.provisioned_hosts),
+                   fmt(study.normalized_space_cost(r.strategy), 3),
+                   fmt(study.normalized_power_cost(r.strategy), 3),
                    fmt_pct(em.contention_time_fraction()), fmt(avg_p50, 2),
                    fmt(peak_p50, 2), std::to_string(r.total_migrations)});
   }
   std::printf("%s", table.str().c_str());
 
-  const auto& dyn = study.get(Algorithm::kDynamic).emulation;
+  const auto& dyn = study.get(Strategy::kDynamic).emulation;
   std::vector<std::size_t> active = dyn.active_hosts_per_interval;
   std::sort(active.begin(), active.end());
   if (!active.empty()) {

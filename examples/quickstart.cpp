@@ -48,9 +48,9 @@ int main() {
   TextTable table({"algorithm", "hosts", "space (norm)", "power (norm)",
                    "contention time", "migrations"});
   for (const auto& r : study.results) {
-    table.add_row({to_string(r.algorithm), std::to_string(r.provisioned_hosts),
-                   fmt(study.normalized_space_cost(r.algorithm), 3),
-                   fmt(study.normalized_power_cost(r.algorithm), 3),
+    table.add_row({to_string(r.strategy), std::to_string(r.provisioned_hosts),
+                   fmt(study.normalized_space_cost(r.strategy), 3),
+                   fmt(study.normalized_power_cost(r.strategy), 3),
                    fmt_pct(r.emulation.contention_time_fraction()),
                    std::to_string(r.total_migrations)});
   }

@@ -3,6 +3,10 @@
 // Both produce one placement that stays fixed for the whole 14-day
 // evaluation window; re-planning happens only at the next consolidation
 // event (with downtime + relocation, hence no live-migration reservation).
+//
+// Also the strategy vocabulary every driver shares (the study, the engine,
+// the sweep) and plan_strategy, the one dispatch from a Strategy to its
+// planner.
 #pragma once
 
 #include <optional>
@@ -43,5 +47,46 @@ std::optional<StaticPlan> plan_static(
 std::optional<StaticPlan> plan_stochastic(
     std::span<const VmWorkload> vms, const StudySettings& settings,
     const ConstraintSet& constraints = {});
+
+/// The consolidation strategies: the paper's three compared approaches
+/// (Semi-Static, Stochastic, Dynamic) plus pure Static and the hybrid
+/// extension. The sweep journal stores a Strategy as its u8 value, so the
+/// enumerators keep their order.
+enum class Strategy {
+  kStatic,
+  kSemiStatic,
+  kStochastic,
+  kDynamic,
+  kHybrid,
+};
+
+const char* to_string(Strategy strategy) noexcept;
+
+/// True for the strategies that live-migrate between intervals (Dynamic,
+/// Hybrid): they reserve migration headroom (the dynamic utilization
+/// bound), power off empty hosts when replayed, and get an
+/// execution-feasibility check.
+constexpr bool live_migrates(Strategy strategy) noexcept {
+  return strategy == Strategy::kDynamic || strategy == Strategy::kHybrid;
+}
+
+/// What any strategy's planner produces, in one shape.
+struct StrategyPlan {
+  std::vector<Placement> schedule;  ///< 1 entry for the fixed strategies
+  std::size_t provisioned_hosts = 0;
+  std::size_t total_migrations = 0;
+  /// Migrations vs the previous interval (Dynamic only; empty otherwise).
+  std::vector<std::size_t> migrations_per_interval;
+};
+
+/// Plan `strategy` over `vms`; std::nullopt when its planner fails (a VM
+/// larger than a host, or unsatisfiable constraints). `hybrid_fraction` is
+/// the share of VMs Hybrid consolidates dynamically; the other strategies
+/// ignore it.
+std::optional<StrategyPlan> plan_strategy(Strategy strategy,
+                                          std::span<const VmWorkload> vms,
+                                          const StudySettings& settings,
+                                          const ConstraintSet& constraints = {},
+                                          double hybrid_fraction = 0.25);
 
 }  // namespace vmcw

@@ -1,60 +1,30 @@
 #include "core/study.h"
 
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "runtime/telemetry.h"
 #include "runtime/thread_pool.h"
 
 namespace vmcw {
 
-const char* to_string(Algorithm a) noexcept {
-  switch (a) {
-    case Algorithm::kSemiStatic:
-      return "Semi-Static";
-    case Algorithm::kStochastic:
-      return "Stochastic";
-    case Algorithm::kDynamic:
-      return "Dynamic";
-  }
-  return "?";
-}
-
-const AlgorithmResult& StudyResult::get(Algorithm a) const {
+const StrategyResult& StudyResult::get(Strategy s) const {
   for (const auto& r : results)
-    if (r.algorithm == a) return r;
-  throw std::out_of_range("algorithm not present in study result");
+    if (r.strategy == s) return r;
+  throw std::out_of_range("strategy not present in study result");
 }
 
-double StudyResult::normalized_space_cost(Algorithm a) const {
-  const double base = get(Algorithm::kSemiStatic).space_cost;
-  return base > 0 ? get(a).space_cost / base : 0.0;
+double StudyResult::normalized_space_cost(Strategy s) const {
+  const double base = get(Strategy::kSemiStatic).space_cost;
+  return base > 0 ? get(s).space_cost / base : 0.0;
 }
 
-double StudyResult::normalized_power_cost(Algorithm a) const {
-  const double base = get(Algorithm::kSemiStatic).power_cost;
-  return base > 0 ? get(a).power_cost / base : 0.0;
+double StudyResult::normalized_power_cost(Strategy s) const {
+  const double base = get(Strategy::kSemiStatic).power_cost;
+  return base > 0 ? get(s).power_cost / base : 0.0;
 }
-
-namespace {
-
-AlgorithmResult evaluate_static(Algorithm algorithm, const StaticPlan& plan,
-                                std::span<const VmWorkload> vms,
-                                const StudySettings& settings,
-                                const CostModel& costs) {
-  AlgorithmResult result;
-  result.algorithm = algorithm;
-  const Placement schedule[] = {plan.placement};
-  result.emulation =
-      emulate(vms, schedule, settings, /*power_off_empty_hosts=*/false);
-  result.provisioned_hosts = plan.hosts_used;
-  result.space_cost = costs.space_hardware_cost(
-      settings.target, result.provisioned_hosts,
-      static_cast<double>(settings.eval_hours) / 24.0);
-  result.power_cost = costs.power_cost(result.emulation.energy_wh);
-  return result;
-}
-
-}  // namespace
 
 StudyResult run_study(std::string workload_name,
                       std::span<const VmWorkload> vms,
@@ -66,51 +36,40 @@ StudyResult run_study(std::string workload_name,
   study.workload = std::move(workload_name);
   study.settings = settings;
 
-  // The three algorithms plan and replay independently; fan them out as a
-  // task group and collect into fixed slots so the result order (and every
-  // byte of it) is identical at any thread count. ConstraintSet is
+  // The three strategies plan and replay independently; fan them out
+  // across the pool, each writing its fixed slot, so the result order (and
+  // every byte of it) is identical at any thread count. ConstraintSet is
   // physically const-clean (no compression under const), so all tasks
   // share the caller's set directly.
-  AlgorithmResult semi_result;
-  AlgorithmResult stochastic_result;
-  AlgorithmResult dynamic_result;
-  TaskGroup group;
-  group.run([&] {
-    Stopwatch plan_span("study.semi_static_seconds");
-    auto semi = plan_semi_static(vms, settings, constraints);
-    if (!semi) throw std::runtime_error("semi-static planning failed");
-    semi_result =
-        evaluate_static(Algorithm::kSemiStatic, *semi, vms, settings, costs);
-  });
-  group.run([&] {
-    Stopwatch plan_span("study.stochastic_seconds");
-    auto stochastic = plan_stochastic(vms, settings, constraints);
-    if (!stochastic) throw std::runtime_error("stochastic planning failed");
-    stochastic_result = evaluate_static(Algorithm::kStochastic, *stochastic,
-                                        vms, settings, costs);
-  });
-  group.run([&] {
-    Stopwatch plan_span("study.dynamic_seconds");
-    auto dynamic = plan_dynamic(vms, settings, constraints);
-    if (!dynamic) throw std::runtime_error("dynamic planning failed");
-    AlgorithmResult dyn;
-    dyn.algorithm = Algorithm::kDynamic;
-    dyn.emulation = emulate(vms, dynamic->per_interval, settings,
-                            /*power_off_empty_hosts=*/true);
-    dyn.provisioned_hosts = dynamic->max_active_hosts;
-    dyn.space_cost = costs.space_hardware_cost(
-        settings.target, dyn.provisioned_hosts,
+  struct Cell {
+    Strategy strategy;
+    const char* span;
+  };
+  static constexpr Cell kCells[] = {
+      {Strategy::kSemiStatic, "study.semi_static_seconds"},
+      {Strategy::kStochastic, "study.stochastic_seconds"},
+      {Strategy::kDynamic, "study.dynamic_seconds"},
+  };
+  study.results.resize(std::size(kCells));
+  parallel_for(0, std::size(kCells), [&](std::size_t i) {
+    const Strategy strategy = kCells[i].strategy;
+    Stopwatch plan_span(kCells[i].span);
+    auto plan = plan_strategy(strategy, vms, settings, constraints);
+    if (!plan)
+      throw std::runtime_error(std::string(to_string(strategy)) +
+                               " planning failed");
+    StrategyResult& result = study.results[i];
+    result.strategy = strategy;
+    result.emulation =
+        emulate(vms, plan->schedule, settings, live_migrates(strategy));
+    result.provisioned_hosts = plan->provisioned_hosts;
+    result.space_cost = costs.space_hardware_cost(
+        settings.target, result.provisioned_hosts,
         static_cast<double>(settings.eval_hours) / 24.0);
-    dyn.power_cost = costs.power_cost(dyn.emulation.energy_wh);
-    dyn.migrations_per_interval = std::move(dynamic->migrations);
-    dyn.total_migrations = dynamic->total_migrations;
-    dynamic_result = std::move(dyn);
+    result.power_cost = costs.power_cost(result.emulation.energy_wh);
+    result.migrations_per_interval = std::move(plan->migrations_per_interval);
+    result.total_migrations = plan->total_migrations;
   });
-  group.wait();
-
-  study.results.push_back(std::move(semi_result));
-  study.results.push_back(std::move(stochastic_result));
-  study.results.push_back(std::move(dynamic_result));
   return study;
 }
 
@@ -130,34 +89,31 @@ SensitivityResult sensitivity_sweep(
   const auto vms = to_vm_workloads(dc);
 
   // The reference plans and every utilization-bound point are independent
-  // cells of one grid: run them all on the pool, each writing its own slot.
-  std::optional<StaticPlan> semi;
-  std::optional<StaticPlan> stochastic;
-  std::vector<std::size_t> dynamic_hosts(utilization_bounds.size(), 0);
-  TaskGroup group;
-  group.run([&] { semi = plan_semi_static(vms, base_settings); });
-  group.run([&] { stochastic = plan_stochastic(vms, base_settings); });
-  for (std::size_t i = 0; i < utilization_bounds.size(); ++i) {
-    group.run([&, i] {
-      StudySettings settings = base_settings;
-      settings.dynamic_utilization_bound = utilization_bounds[i];
-      auto dynamic = plan_dynamic(vms, settings);
-      if (!dynamic)
-        throw std::runtime_error(
-            "dynamic planning failed in sensitivity sweep");
-      dynamic_hosts[i] = dynamic->max_active_hosts;
-    });
+  // cells of one grid: cells 0-1 are the U-independent references, cell
+  // 2+i is Dynamic at utilization_bounds[i]. Run them all on the pool,
+  // each writing its own slot.
+  std::vector<std::pair<Strategy, StudySettings>> cells{
+      {Strategy::kSemiStatic, base_settings},
+      {Strategy::kStochastic, base_settings}};
+  for (const double bound : utilization_bounds) {
+    cells.emplace_back(Strategy::kDynamic, base_settings);
+    cells.back().second.dynamic_utilization_bound = bound;
   }
-  group.wait();
+  std::vector<std::size_t> hosts(cells.size(), 0);
+  parallel_for(0, cells.size(), [&](std::size_t i) {
+    const auto plan = plan_strategy(cells[i].first, vms, cells[i].second);
+    if (!plan)
+      throw std::runtime_error(std::string(to_string(cells[i].first)) +
+                               " planning failed in sensitivity sweep");
+    hosts[i] = plan->provisioned_hosts;
+  });
 
-  if (!semi || !stochastic)
-    throw std::runtime_error("static planning failed in sensitivity sweep");
-  result.semi_static_hosts = semi->hosts_used;
-  result.stochastic_hosts = stochastic->hosts_used;
+  result.semi_static_hosts = hosts[0];
+  result.stochastic_hosts = hosts[1];
   result.dynamic_points.reserve(utilization_bounds.size());
   for (std::size_t i = 0; i < utilization_bounds.size(); ++i)
     result.dynamic_points.push_back(
-        SensitivityPoint{utilization_bounds[i], dynamic_hosts[i]});
+        SensitivityPoint{utilization_bounds[i], hosts[2 + i]});
   return result;
 }
 

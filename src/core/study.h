@@ -16,12 +16,8 @@
 
 namespace vmcw {
 
-enum class Algorithm { kSemiStatic, kStochastic, kDynamic };
-
-const char* to_string(Algorithm a) noexcept;
-
-struct AlgorithmResult {
-  Algorithm algorithm = Algorithm::kSemiStatic;
+struct StrategyResult {
+  Strategy strategy = Strategy::kSemiStatic;
   std::size_t provisioned_hosts = 0;
   double space_cost = 0;  ///< space + hardware over the window
   double power_cost = 0;
@@ -33,17 +29,20 @@ struct AlgorithmResult {
 struct StudyResult {
   std::string workload;
   StudySettings settings;
-  std::vector<AlgorithmResult> results;
+  /// Semi-Static, Stochastic, Dynamic — in that order.
+  std::vector<StrategyResult> results;
 
-  const AlgorithmResult& get(Algorithm a) const;
+  const StrategyResult& get(Strategy s) const;
 
-  /// Fig 7 normalization: cost of `a` / cost of vanilla Semi-Static.
-  double normalized_space_cost(Algorithm a) const;
-  double normalized_power_cost(Algorithm a) const;
+  /// Fig 7 normalization: cost of `s` / cost of vanilla Semi-Static.
+  double normalized_space_cost(Strategy s) const;
+  double normalized_power_cost(Strategy s) const;
 };
 
-/// Run the full three-way comparison. Throws std::runtime_error if any
-/// planner fails (a VM larger than a host, or unsatisfiable constraints).
+/// Run the full three-way comparison (Semi-Static, Stochastic, Dynamic)
+/// on the given workloads directly — the ground truth, not a monitored
+/// view. Throws std::runtime_error if any planner fails (a VM larger than
+/// a host, or unsatisfiable constraints).
 StudyResult run_study(const Datacenter& dc, const StudySettings& settings,
                       const ConstraintSet& constraints = {},
                       const CostModel& costs = CostModel{});

@@ -7,22 +7,6 @@
 
 namespace vmcw {
 
-const char* to_string(Strategy strategy) noexcept {
-  switch (strategy) {
-    case Strategy::kStatic:
-      return "Static";
-    case Strategy::kSemiStatic:
-      return "Semi-Static";
-    case Strategy::kStochastic:
-      return "Stochastic";
-    case Strategy::kDynamic:
-      return "Dynamic";
-    case Strategy::kHybrid:
-      return "Hybrid";
-  }
-  return "?";
-}
-
 ConsolidationEngine::ConsolidationEngine(Config config)
     : config_(std::move(config)) {}
 
@@ -75,10 +59,8 @@ ConstraintSet ConsolidationEngine::compiled_constraints() const {
 }
 
 double ConsolidationEngine::bound_for(Strategy strategy) const noexcept {
-  const bool dynamic =
-      strategy == Strategy::kDynamic || strategy == Strategy::kHybrid;
-  return dynamic ? config_.settings.dynamic_utilization_bound
-                 : config_.settings.static_utilization_bound;
+  return live_migrates(strategy) ? config_.settings.dynamic_utilization_bound
+                                 : config_.settings.static_utilization_bound;
 }
 
 std::optional<ConsolidationEngine::Recommendation>
@@ -86,50 +68,15 @@ ConsolidationEngine::recommend(Strategy strategy) const {
   if (!view_) throw std::logic_error("observe() an estate first");
   Stopwatch span(std::string("engine.recommend_seconds.") +
                  to_string(strategy));
-  Recommendation rec;
-  rec.strategy = strategy;
+  auto plan = plan_strategy(strategy, vms_, config_.settings,
+                            compiled_constraints(), config_.hybrid_fraction);
+  if (!plan) return std::nullopt;
 
-  const ConstraintSet constraints = compiled_constraints();
-
-  switch (strategy) {
-    case Strategy::kStatic:
-    case Strategy::kSemiStatic:
-    case Strategy::kStochastic: {
-      std::optional<StaticPlan> plan;
-      if (strategy == Strategy::kStatic)
-        plan = plan_static(vms_, config_.settings, constraints);
-      else if (strategy == Strategy::kSemiStatic)
-        plan = plan_semi_static(vms_, config_.settings, constraints);
-      else
-        plan = plan_stochastic(vms_, config_.settings, constraints);
-      if (!plan) return std::nullopt;
-      rec.schedule = {plan->placement};
-      rec.provisioned_hosts = plan->hosts_used;
-      return rec;
-    }
-    case Strategy::kDynamic: {
-      auto plan = plan_dynamic(vms_, config_.settings, constraints);
-      if (!plan) return std::nullopt;
-      rec.schedule = std::move(plan->per_interval);
-      rec.provisioned_hosts = plan->max_active_hosts;
-      rec.total_migrations = plan->total_migrations;
-      break;
-    }
-    case Strategy::kHybrid: {
-      auto plan = plan_hybrid(vms_, config_.settings, config_.hybrid_fraction,
-                              constraints);
-      if (!plan) return std::nullopt;
-      rec.provisioned_hosts = plan->provisioned_hosts();
-      rec.total_migrations = plan->total_migrations;
-      rec.schedule = std::move(plan->per_interval);
-      break;
-    }
-  }
-
-  // Execution feasibility for the strategies that live-migrate.
-  rec.execution = execution_feasibility(
-      rec.schedule, vms_, config_.settings.eval_begin(),
-      config_.settings.interval_hours, MigrationConfig{});
+  Recommendation rec{std::move(*plan), strategy, std::nullopt};
+  if (live_migrates(strategy))
+    rec.execution = execution_feasibility(
+        rec.schedule, vms_, config_.settings.eval_begin(),
+        config_.settings.interval_hours, MigrationConfig{});
   return rec;
 }
 
@@ -201,10 +148,8 @@ EmulationReport ConsolidationEngine::evaluate(
   if (!truth_) throw std::logic_error("observe() an estate first");
   Stopwatch span("engine.evaluate_seconds");
   const auto truth_vms = to_vm_workloads(*truth_);
-  const bool power_off = recommendation.strategy == Strategy::kDynamic ||
-                         recommendation.strategy == Strategy::kHybrid;
   return emulate(truth_vms, recommendation.schedule, config_.settings,
-                 power_off);
+                 live_migrates(recommendation.strategy));
 }
 
 RobustnessReport ConsolidationEngine::evaluate_under_faults(
@@ -213,10 +158,10 @@ RobustnessReport ConsolidationEngine::evaluate_under_faults(
   if (!truth_) throw std::logic_error("observe() an estate first");
   Stopwatch span("engine.evaluate_faults_seconds");
   const auto truth_vms = to_vm_workloads(*truth_);
-  const bool power_off = recommendation.strategy == Strategy::kDynamic ||
-                         recommendation.strategy == Strategy::kHybrid;
   return replay_under_faults(truth_vms, recommendation.schedule,
-                             config_.settings, power_off, plan, options);
+                             config_.settings,
+                             live_migrates(recommendation.strategy), plan,
+                             options);
 }
 
 }  // namespace vmcw

@@ -5,7 +5,8 @@
 // The engine observes an estate through per-minute monitoring agents into
 // the hourly warehouse (the only data real planning ever sees), then
 // produces a consolidation recommendation with any of the implemented
-// strategies, including the migration-execution feasibility of the result.
+// strategies (core/planners' Strategy and plan_strategy), including the
+// migration-execution feasibility of the result.
 // What the paper's tool suite did across 30+ engagements, in one object.
 #pragma once
 
@@ -15,25 +16,13 @@
 
 #include "chaos/replay.h"
 #include "core/admission.h"
-#include "core/hybrid.h"
 #include "core/migration_scheduler.h"
+#include "core/planners.h"
 #include "core/study.h"
 #include "monitoring/pipeline.h"
 #include "topology/failure_domains.h"
 
 namespace vmcw {
-
-/// Strategy selector for recommendations. Extends the paper's three
-/// compared algorithms with pure Static and the hybrid extension.
-enum class Strategy {
-  kStatic,
-  kSemiStatic,
-  kStochastic,
-  kDynamic,
-  kHybrid,
-};
-
-const char* to_string(Strategy strategy) noexcept;
 
 class ConsolidationEngine {
  public:
@@ -64,11 +53,9 @@ class ConsolidationEngine {
   /// Monitoring fidelity vs the observed ground truth.
   PipelineFidelity monitoring_fidelity() const;
 
-  struct Recommendation {
+  /// The strategy's plan, plus the execution check when it live-migrates.
+  struct Recommendation : StrategyPlan {
     Strategy strategy = Strategy::kSemiStatic;
-    std::vector<Placement> schedule;  ///< 1 entry for static variants
-    std::size_t provisioned_hosts = 0;
-    std::size_t total_migrations = 0;
     /// Migration-execution feasibility (dynamic/hybrid only; empty else).
     std::optional<ExecutionFeasibility> execution;
   };
@@ -103,8 +90,9 @@ class ConsolidationEngine {
   /// placement, sized at `hour`: hosts over the utilization bound are
   /// repaired by evicting and re-admitting single VMs; hosts below
   /// `drain_below` (0 disables) are drained entirely or not at all. The
-  /// final schedule entry is updated in place; the returned outcome lists
-  /// the moves. This is the batch-side twin of the daemon's per-tick
+  /// final schedule entry is updated in place and total_migrations counts
+  /// the moves the returned outcome lists (migrations_per_interval keeps
+  /// the plan's). This is the batch-side twin of the daemon's per-tick
   /// incremental decisions.
   RepairOutcome partial_replan(Recommendation& rec, std::size_t hour,
                                double drain_below = 0.0) const;

@@ -74,15 +74,15 @@ void section_study(std::string& md, const std::vector<StudyResult>& studies) {
   TextTable table({"Workload", "space SS/St/Dy (norm)", "power SS/St/Dy",
                    "contention time Dy", "migrations/interval"});
   for (const auto& study : studies) {
-    const auto& dyn = study.get(Algorithm::kDynamic);
+    const auto& dyn = study.get(Strategy::kDynamic);
     table.add_row(
         {study.workload,
          "1.000 / " +
-             fmt(study.normalized_space_cost(Algorithm::kStochastic), 3) +
-             " / " + fmt(study.normalized_space_cost(Algorithm::kDynamic), 3),
+             fmt(study.normalized_space_cost(Strategy::kStochastic), 3) +
+             " / " + fmt(study.normalized_space_cost(Strategy::kDynamic), 3),
          "1.000 / " +
-             fmt(study.normalized_power_cost(Algorithm::kStochastic), 3) +
-             " / " + fmt(study.normalized_power_cost(Algorithm::kDynamic), 3),
+             fmt(study.normalized_power_cost(Strategy::kStochastic), 3) +
+             " / " + fmt(study.normalized_power_cost(Strategy::kDynamic), 3),
          fmt_pct(dyn.emulation.contention_time_fraction()),
          fmt(static_cast<double>(dyn.total_migrations) /
                  static_cast<double>(study.settings.intervals()),
@@ -272,8 +272,8 @@ std::vector<std::string> write_report_data(const std::string& directory,
     TextTable table({"workload", "algorithm", "space_norm", "power_norm",
                      "hosts", "contention_time"});
     for (const auto& study : studies) {
-      for (Algorithm a : {Algorithm::kSemiStatic, Algorithm::kStochastic,
-                          Algorithm::kDynamic}) {
+      for (Strategy a : {Strategy::kSemiStatic, Strategy::kStochastic,
+                         Strategy::kDynamic}) {
         const auto& r = study.get(a);
         table.add_row({study.workload, to_string(a),
                        fmt(study.normalized_space_cost(a), 4),
@@ -287,7 +287,7 @@ std::vector<std::string> write_report_data(const std::string& directory,
   {
     TextTable table({"workload", "interval", "active_fraction"});
     for (const auto& study : studies) {
-      const auto& dyn = study.get(Algorithm::kDynamic);
+      const auto& dyn = study.get(Strategy::kDynamic);
       for (std::size_t k = 0;
            k < dyn.emulation.active_hosts_per_interval.size(); ++k) {
         table.add_row(

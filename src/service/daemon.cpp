@@ -172,7 +172,10 @@ bool Daemon::write_snapshot_now() {
   controller_.save_state(w);
   snap.controller_state = w.bytes();
   if (marks_provider_) snap.ack_marks = marks_provider_();
-  if (!write_snapshot(options_.snapshot_path, fleet_hash_, snap)) return false;
+  if (!write_snapshot(options_.snapshot_path, fleet_hash_, snap)) {
+    ++stats_.snapshot_failures;
+    return false;
+  }
   ++stats_.snapshots_written;
   last_snapshot_frames_ = frames_applied_;
   last_snapshot_time_ = hooks_->now();

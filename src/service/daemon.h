@@ -53,6 +53,7 @@ struct DaemonStats {
   std::size_t holds = 0;
   std::size_t degraded_ticks = 0;
   std::size_t snapshots_written = 0;
+  std::size_t snapshot_failures = 0;  ///< writes that failed (retried later)
   std::size_t segments_reclaimed = 0;  ///< sealed WAL segments unlinked
 };
 
@@ -142,8 +143,9 @@ class Daemon {
   void maybe_snapshot();
 
   /// Unconditional checkpoint; returns false if writing failed (the
-  /// previous snapshot survives). Reclaims pre-snapshot segments on
-  /// success unless Options::retain_segments.
+  /// previous snapshot survives, DaemonStats::snapshot_failures counts it
+  /// and the cadence retries on the next call). Reclaims pre-snapshot
+  /// segments on success unless Options::retain_segments.
   bool write_snapshot_now();
 
   /// Provider of the ingest writer's cumulative-Ack marks, captured into

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "trace/generator.h"
 #include "trace/presets.h"
 
@@ -101,6 +104,63 @@ TEST(Engine, PlanningOnWarehouseViewMatchesTruthScale) {
   ASSERT_TRUE(truth_plan.has_value());
   EXPECT_NEAR(static_cast<double>(rec->provisioned_hosts),
               static_cast<double>(truth_plan->hosts_used), 1.0);
+}
+
+// Byte-identity pin for the strategy dispatch: one FNV-1a over what
+// recommend(), evaluate() and partial_replan() produce for every strategy
+// on a fixed small estate. The constant was recorded at the commit before
+// the per-strategy switches were folded into core's plan_strategy, and
+// the paper-report pins never run Static or Hybrid; recompute only for a
+// deliberate planner or emulator change.
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add_bits(double d) { add(std::bit_cast<std::uint64_t>(d)); }
+};
+
+TEST(Engine, RecommendAndEvaluateBytesArePinned) {
+  const auto config = small_config();
+  ConsolidationEngine engine(config);
+  engine.observe(small_estate(30));
+  Fnv1a fnv;
+  for (Strategy s : {Strategy::kStatic, Strategy::kSemiStatic,
+                     Strategy::kStochastic, Strategy::kDynamic,
+                     Strategy::kHybrid}) {
+    auto rec = engine.recommend(s);
+    ASSERT_TRUE(rec.has_value()) << to_string(s);
+    fnv.add(rec->provisioned_hosts);
+    fnv.add(rec->total_migrations);
+    fnv.add(rec->schedule.size());
+    for (const Placement& placement : rec->schedule)
+      for (std::size_t vm = 0; vm < placement.vm_count(); ++vm)
+        fnv.add(static_cast<std::uint64_t>(placement.host_of(vm)));
+
+    const EmulationReport report = engine.evaluate(*rec);
+    fnv.add_bits(report.energy_wh);
+    fnv.add(report.hours_with_contention);
+    fnv.add(report.total_vm_contention_hours);
+
+    fnv.add(rec->execution.has_value());
+    if (rec->execution) {
+      for (double m : rec->execution->makespan_s) fnv.add_bits(m);
+      fnv.add_bits(rec->execution->worst_makespan_s);
+      fnv.add_bits(rec->execution->worst_utilization);
+      fnv.add(rec->execution->infeasible_intervals);
+    }
+
+    // partial_replan judges hosts against the strategy's utilization bound.
+    const RepairOutcome outcome = engine.partial_replan(
+        *rec, config.settings.eval_begin(), /*drain_below=*/0.5);
+    fnv.add(outcome.repair_moves.size());
+    fnv.add(outcome.drain_moves.size());
+    fnv.add(outcome.unresolved_hosts.size());
+  }
+  EXPECT_EQ(fnv.h, 8459684829985226376ULL);
 }
 
 TEST(StrategyNames, Stable) {

@@ -426,6 +426,27 @@ TEST(SegmentedLog, ReclaimBeforeUnlinksOnlyWhollyCoveredSealedSegments) {
 
 // -------------------------------------------- daemon snapshot recovery
 
+TEST(Recovery, FailedSnapshotIsCountedAndServingContinues) {
+  const std::string dir = temp_dir("vmcw_rec_snapshot_fails");
+  const auto frames = small_churn();
+  const std::string ref = reference_decisions(dir, frames);
+  ASSERT_FALSE(ref.empty());
+
+  // The snapshot path points into a directory that does not exist, so
+  // every checkpoint write fails; the daemon must keep serving.
+  Daemon::Options o = bounded_options(dir, /*resume=*/false, /*retain=*/false);
+  o.snapshot_path = dir + "/missing/ctrl.snap";
+  Daemon daemon(ControllerConfig{}, o);
+  daemon.open();
+  feed(daemon, frames, 0, frames.size());
+  daemon.close();
+  EXPECT_GT(daemon.stats().snapshot_failures, 0u);
+  EXPECT_EQ(daemon.stats().snapshots_written, 0u);
+  EXPECT_EQ(daemon.stats().segments_reclaimed, 0u);
+  EXPECT_FALSE(fs::exists(o.snapshot_path));
+  EXPECT_EQ(file_bytes(o.decisions_path), ref);
+}
+
 TEST(Recovery, SnapshotPlusSuffixMatchesColdReplayAtAnyThreadCount) {
   const std::string dir = temp_dir("vmcw_rec_threads");
   const auto frames = small_churn();

@@ -243,7 +243,7 @@ TEST(Study, RunStudyBitIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < results[0].results.size(); ++i) {
     const auto& a = results[0].results[i];
     const auto& b = results[1].results[i];
-    EXPECT_EQ(a.algorithm, b.algorithm);
+    EXPECT_EQ(a.strategy, b.strategy);
     EXPECT_EQ(a.provisioned_hosts, b.provisioned_hosts);
     EXPECT_EQ(a.space_cost, b.space_cost);
     EXPECT_EQ(a.power_cost, b.power_cost);

@@ -18,16 +18,16 @@ Datacenter small_dc(int servers = 80) {
 TEST(Study, RunsAllThreeAlgorithms) {
   const auto result = run_study(small_dc(), small_settings());
   ASSERT_EQ(result.results.size(), 3u);
-  EXPECT_NO_THROW(result.get(Algorithm::kSemiStatic));
-  EXPECT_NO_THROW(result.get(Algorithm::kStochastic));
-  EXPECT_NO_THROW(result.get(Algorithm::kDynamic));
+  EXPECT_NO_THROW(result.get(Strategy::kSemiStatic));
+  EXPECT_NO_THROW(result.get(Strategy::kStochastic));
+  EXPECT_NO_THROW(result.get(Strategy::kDynamic));
   EXPECT_EQ(result.workload, "Banking");
 }
 
 TEST(Study, VanillaNormalizesToOne) {
   const auto result = run_study(small_dc(), small_settings());
-  EXPECT_DOUBLE_EQ(result.normalized_space_cost(Algorithm::kSemiStatic), 1.0);
-  EXPECT_DOUBLE_EQ(result.normalized_power_cost(Algorithm::kSemiStatic), 1.0);
+  EXPECT_DOUBLE_EQ(result.normalized_space_cost(Strategy::kSemiStatic), 1.0);
+  EXPECT_DOUBLE_EQ(result.normalized_power_cost(Strategy::kSemiStatic), 1.0);
 }
 
 TEST(Study, CostsArePositiveAndConsistentWithHosts) {
@@ -38,8 +38,8 @@ TEST(Study, CostsArePositiveAndConsistentWithHosts) {
     EXPECT_GT(r.power_cost, 0.0);
   }
   // Space cost ordering matches host-count ordering.
-  const auto& semi = result.get(Algorithm::kSemiStatic);
-  const auto& stoch = result.get(Algorithm::kStochastic);
+  const auto& semi = result.get(Strategy::kSemiStatic);
+  const auto& stoch = result.get(Strategy::kStochastic);
   EXPECT_EQ(stoch.space_cost < semi.space_cost,
             stoch.provisioned_hosts < semi.provisioned_hosts);
 }
@@ -47,36 +47,36 @@ TEST(Study, CostsArePositiveAndConsistentWithHosts) {
 TEST(Study, StochasticBeatsVanillaOnSpace) {
   // Fig 7(a): intelligent semi-static <= vanilla for every workload.
   const auto result = run_study(small_dc(150), small_settings());
-  EXPECT_LE(result.normalized_space_cost(Algorithm::kStochastic), 1.0);
+  EXPECT_LE(result.normalized_space_cost(Strategy::kStochastic), 1.0);
 }
 
 TEST(Study, DynamicSavesPowerOnBurstyWorkload) {
   // Fig 7(b): dynamic consolidation saves substantial power on the
   // Banking-like workload.
   const auto result = run_study(small_dc(150), small_settings());
-  EXPECT_LT(result.normalized_power_cost(Algorithm::kDynamic), 0.9);
+  EXPECT_LT(result.normalized_power_cost(Strategy::kDynamic), 0.9);
 }
 
 TEST(Study, DynamicReportsMigrations) {
   const auto result = run_study(small_dc(), small_settings());
-  const auto& dyn = result.get(Algorithm::kDynamic);
+  const auto& dyn = result.get(Strategy::kDynamic);
   EXPECT_EQ(dyn.migrations_per_interval.size(),
             small_settings().intervals());
   EXPECT_GT(dyn.total_migrations, 0u);
-  const auto& semi = result.get(Algorithm::kSemiStatic);
+  const auto& semi = result.get(Strategy::kSemiStatic);
   EXPECT_EQ(semi.total_migrations, 0u);
 }
 
 TEST(Study, StaticPlansKeepAllHostsActive) {
   const auto result = run_study(small_dc(), small_settings());
-  const auto& semi = result.get(Algorithm::kSemiStatic);
+  const auto& semi = result.get(Strategy::kSemiStatic);
   for (auto active : semi.emulation.active_hosts_per_interval)
     EXPECT_EQ(active, semi.provisioned_hosts);
 }
 
 TEST(Study, DynamicVariesActiveHosts) {
   const auto result = run_study(small_dc(150), small_settings());
-  const auto& dyn = result.get(Algorithm::kDynamic);
+  const auto& dyn = result.get(Strategy::kDynamic);
   std::size_t lo = dyn.emulation.active_hosts_per_interval[0];
   std::size_t hi = lo;
   for (auto active : dyn.emulation.active_hosts_per_interval) {
@@ -97,7 +97,7 @@ TEST(Study, HonorsConstraints) {
 
 TEST(Study, GetUnknownAlgorithmThrows) {
   StudyResult empty;
-  EXPECT_THROW(empty.get(Algorithm::kDynamic), std::out_of_range);
+  EXPECT_THROW(empty.get(Strategy::kDynamic), std::out_of_range);
 }
 
 TEST(SensitivitySweep, HostsDecreaseWithUtilizationBound) {
@@ -116,9 +116,10 @@ TEST(SensitivitySweep, HostsDecreaseWithUtilizationBound) {
 }
 
 TEST(AlgorithmNames, Stable) {
-  EXPECT_STREQ(to_string(Algorithm::kSemiStatic), "Semi-Static");
-  EXPECT_STREQ(to_string(Algorithm::kStochastic), "Stochastic");
-  EXPECT_STREQ(to_string(Algorithm::kDynamic), "Dynamic");
+  // The three strategies a study compares; the fig tables print these names.
+  EXPECT_STREQ(to_string(Strategy::kSemiStatic), "Semi-Static");
+  EXPECT_STREQ(to_string(Strategy::kStochastic), "Stochastic");
+  EXPECT_STREQ(to_string(Strategy::kDynamic), "Dynamic");
 }
 
 }  // namespace

@@ -39,34 +39,34 @@ class StudyPreset : public ::testing::TestWithParam<PresetCase> {
 
 TEST_P(StudyPreset, VanillaNormalizesToOne) {
   const auto study = run();
-  EXPECT_DOUBLE_EQ(study.normalized_space_cost(Algorithm::kSemiStatic), 1.0);
-  EXPECT_DOUBLE_EQ(study.normalized_power_cost(Algorithm::kSemiStatic), 1.0);
+  EXPECT_DOUBLE_EQ(study.normalized_space_cost(Strategy::kSemiStatic), 1.0);
+  EXPECT_DOUBLE_EQ(study.normalized_power_cost(Strategy::kSemiStatic), 1.0);
 }
 
 TEST_P(StudyPreset, StochasticNeverWorseThanVanilla) {
   // Observation 5's partner fact: intelligent semi-static consolidation
   // dominates vanilla on both axes for every workload.
   const auto study = run();
-  EXPECT_LE(study.normalized_space_cost(Algorithm::kStochastic), 1.0 + 1e-9);
-  EXPECT_LE(study.normalized_power_cost(Algorithm::kStochastic), 1.01);
+  EXPECT_LE(study.normalized_space_cost(Strategy::kStochastic), 1.0 + 1e-9);
+  EXPECT_LE(study.normalized_power_cost(Strategy::kStochastic), 1.01);
 }
 
 TEST_P(StudyPreset, StaticVariantsNeverContendMuch) {
   // Fig 8: static-variant contention is at most isolated hours.
   const auto study = run();
-  EXPECT_LT(study.get(Algorithm::kSemiStatic)
+  EXPECT_LT(study.get(Strategy::kSemiStatic)
                 .emulation.contention_time_fraction(),
             0.03);
-  EXPECT_LT(study.get(Algorithm::kStochastic)
+  EXPECT_LT(study.get(Strategy::kStochastic)
                 .emulation.contention_time_fraction(),
             0.03);
 }
 
 TEST_P(StudyPreset, OnlyDynamicMigrates) {
   const auto study = run();
-  EXPECT_EQ(study.get(Algorithm::kSemiStatic).total_migrations, 0u);
-  EXPECT_EQ(study.get(Algorithm::kStochastic).total_migrations, 0u);
-  EXPECT_GT(study.get(Algorithm::kDynamic).total_migrations, 0u);
+  EXPECT_EQ(study.get(Strategy::kSemiStatic).total_migrations, 0u);
+  EXPECT_EQ(study.get(Strategy::kStochastic).total_migrations, 0u);
+  EXPECT_GT(study.get(Strategy::kDynamic).total_migrations, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -83,8 +83,8 @@ TEST(StudyHeadlines, MemoryBoundEstatesLoseWithDynamic) {
   const auto spec = scaled_down(airlines_spec(), 150, kHoursPerMonth);
   const auto study =
       run_study(generate_datacenter(spec, kStudySeed), StudySettings{});
-  EXPECT_GT(study.normalized_space_cost(Algorithm::kDynamic), 1.05);
-  EXPECT_GT(study.normalized_power_cost(Algorithm::kDynamic), 1.0);
+  EXPECT_GT(study.normalized_space_cost(Strategy::kDynamic), 1.05);
+  EXPECT_GT(study.normalized_power_cost(Strategy::kDynamic), 1.0);
 }
 
 TEST(StudyHeadlines, BurstyEstateWinsPowerWithDynamic) {
@@ -92,8 +92,8 @@ TEST(StudyHeadlines, BurstyEstateWinsPowerWithDynamic) {
   const auto spec = scaled_down(banking_spec(), 150, kHoursPerMonth);
   const auto study =
       run_study(generate_datacenter(spec, kStudySeed), StudySettings{});
-  EXPECT_LT(study.normalized_power_cost(Algorithm::kDynamic),
-            0.75 * study.normalized_power_cost(Algorithm::kStochastic));
+  EXPECT_LT(study.normalized_power_cost(Strategy::kDynamic),
+            0.75 * study.normalized_power_cost(Strategy::kStochastic));
 }
 
 TEST(StudyHeadlines, BankingCrossoverNearFifteenPercentReservation) {

@@ -92,11 +92,12 @@ int serve(Daemon::Options daemon_options, const IngestOptions& ingest_options) {
               "(%zu duplicates dropped, %zu rejects, %zu shed entries)\n",
               in.messages_ingested, in.connections_accepted,
               in.duplicates_dropped, in.rejects_sent, in.shed_entries);
-  if (stats.snapshots_written > 0 || stats.segments_reclaimed > 0)
-    std::fprintf(stderr, "bounded recovery: %zu snapshots, "
+  if (stats.snapshots_written > 0 || stats.snapshot_failures > 0 ||
+      stats.segments_reclaimed > 0)
+    std::fprintf(stderr, "bounded recovery: %zu snapshots (%zu failed), "
                          "%zu segments reclaimed, %zu WAL batches\n",
-                 stats.snapshots_written, stats.segments_reclaimed,
-                 in.wal_batches);
+                 stats.snapshots_written, stats.snapshot_failures,
+                 stats.segments_reclaimed, in.wal_batches);
   std::printf("decisions: %zu batches, %zu admits, %zu migrations, "
               "%zu holds, %zu degraded ticks\n",
               stats.batches, stats.admits, stats.migrations, stats.holds,

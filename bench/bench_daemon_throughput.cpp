@@ -3,7 +3,7 @@
 //
 // Generates a deterministic churn stream sized to pack a >=10k-host fleet
 // (default: 25k VMs at ~0.45 host-fractions each, one tick of mass
-// arrival then steady churn), records it to a real FrameLog WAL, then
+// arrival then steady churn), records it to a real segmented WAL, then
 // drives the controller frame-by-frame exactly as the daemon's replay
 // path does — timing every tick. Decision *counts* on stdout and in the
 // .dat artifact are deterministic; wall-clock numbers go only to the
@@ -65,12 +65,13 @@ int main(int argc, char** argv) {
   const std::string wal_path = "bench_daemon_throughput.wal";
   const std::string decisions_path = "bench_daemon_throughput.decisions";
   {
-    FrameLog wal;
-    wal.open(wal_path, fleet_config_hash(config), /*resume=*/false);
+    SegmentedFrameLog wal;
+    wal.open(wal_path, fleet_config_hash(config), /*resume=*/false,
+             Daemon::Options{}.segment_frames);
     for (const Frame& frame : frames) wal.append(frame, /*sync=*/false);
     wal.sync();
   }
-  const WalContents recorded = read_frame_log(wal_path);
+  const WalContents recorded = read_segmented_wal(wal_path);
 
   // Drive the controller over the recorded frames, decision log riding
   // along (non-durable: this bench measures compute, not fdatasync).

@@ -128,6 +128,23 @@ RecordLog::Recovery RecordLog::open(const std::string& path,
   return rec;
 }
 
+void RecordLog::reopen(const std::string& path, std::size_t end) {
+  MutexLock lk(mutex_);
+  close_locked();
+  fd_ = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd_ < 0) throw std::runtime_error("cannot open " + path);
+  struct stat st{};
+  const bool ok = ::fstat(fd_, &st) == 0 &&
+                  static_cast<std::size_t>(st.st_size) >= end &&
+                  (static_cast<std::size_t>(st.st_size) == end ||
+                   ::ftruncate(fd_, static_cast<off_t>(end)) == 0) &&
+                  ::lseek(fd_, 0, SEEK_END) >= 0;
+  if (!ok) {
+    close_locked();
+    throw std::runtime_error("cannot resume " + path + " at its intact end");
+  }
+}
+
 bool RecordLog::append(const std::uint8_t* data, std::size_t size,
                        bool sync) {
   MutexLock lk(mutex_);

@@ -100,6 +100,13 @@ class RecordLog {
                 const std::vector<std::uint8_t>& header, bool resume,
                 const RecordScanner& scanner) VMCW_EXCLUDES(mutex_);
 
+  /// Reopen for append a file whose records the caller has already
+  /// scanned (read_file + scan_records), so recovery reads it once: `end`
+  /// is the offset past its last intact record, and a torn tail beyond it
+  /// is truncated away. Throws std::runtime_error when `path` cannot be
+  /// opened, is shorter than `end`, or its tail cannot be trimmed.
+  void reopen(const std::string& path, std::size_t end) VMCW_EXCLUDES(mutex_);
+
   bool is_open() const VMCW_EXCLUDES(mutex_) {
     MutexLock lk(mutex_);
     return fd_ >= 0;

@@ -25,12 +25,12 @@
 // fleet shape.
 //
 // Bounded recovery (DESIGN.md §9): with a snapshot path configured, the
-// daemon periodically checkpoints the controller (service/snapshot) and,
-// with segment rotation on, reclaims WAL segments older than the newest
-// durable snapshot. Resume then restores the snapshot and re-applies only
-// the WAL suffix past its coverage — the decision log stays byte-identical
-// to a cold full-WAL replay, but restart cost is bounded by the snapshot
-// cadence instead of total uptime.
+// daemon periodically checkpoints the controller (service/snapshot) and
+// reclaims the WAL's segments (it is always a SegmentedFrameLog chain)
+// older than the newest durable snapshot. Resume then restores the
+// snapshot and re-applies only the WAL suffix past its coverage — the
+// decision log stays byte-identical to a cold full-WAL replay, but restart
+// cost is bounded by the snapshot cadence instead of total uptime.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +64,8 @@ class Daemon {
     std::string decisions_path;  ///< decision log (output side)
     bool resume = false;  ///< recover both logs instead of truncating
     bool durable = true;  ///< fdatasync each append (off: bulk benching)
-    /// Frames per WAL segment; 0 keeps the legacy single-file WAL.
-    std::uint64_t segment_frames = 0;
+    /// Frames per WAL segment; must be > 0.
+    std::uint64_t segment_frames = 1024;
     /// Snapshot file path; empty disables checkpointing entirely.
     std::string snapshot_path;
     /// Checkpoint every N applied frames (0 = no frame-count trigger).
@@ -112,7 +112,8 @@ class Daemon {
   /// decision batches, skipping the append of the ones already durable).
   /// The controller afterwards sits exactly where the crashed session
   /// left it. Throws std::runtime_error when the WAL head was reclaimed
-  /// and no usable snapshot covers the missing prefix.
+  /// and no usable snapshot covers the missing prefix, and
+  /// std::invalid_argument when Options::segment_frames is 0.
   OpenResult open();
 
   /// WAL-first ingestion of one frame. Flush frames run the controller
@@ -170,10 +171,14 @@ class Daemon {
   /// Install I/O hooks on both logs (nullptr restores the real default);
   /// how tests and the chaos harness inject write faults and fsync
   /// stalls. Call before open().
-  void set_io_hooks(WalIoHooks* hooks) noexcept {
-    wal_.set_io_hooks(hooks);
-    decisions_.set_io_hooks(hooks);
-    hooks_ = hooks != nullptr ? hooks : &default_wal_io_hooks();
+  void set_io_hooks(WalIoHooks* hooks) noexcept { set_io_hooks(hooks, hooks); }
+
+  /// Separate hooks per log, so a scripted write/sync index counts one
+  /// log's calls only. The snapshot cadence reads the WAL hooks' now().
+  void set_io_hooks(WalIoHooks* wal, WalIoHooks* decisions) noexcept {
+    wal_.set_io_hooks(wal);
+    decisions_.set_io_hooks(decisions);
+    hooks_ = wal != nullptr ? wal : &default_wal_io_hooks();
   }
 
   /// Latency of the telemetry WAL's most recent fdatasync (seconds); what
@@ -209,7 +214,7 @@ class Daemon {
   DaemonStats stats_;
 };
 
-/// Replay a recorded WAL (single file or segment chain) end to end,
+/// Replay a recorded WAL (its whole segment chain) end to end,
 /// writing (or with resume, completing) the decision log at
 /// `decisions_path`. The input WAL is opened read-only and never modified.
 /// Throws std::runtime_error when the WAL cannot be read, was recorded for

@@ -53,7 +53,8 @@ class PlannedTransportFaults : public service::TransportFaults {
 /// without a slow or failing disk or a real sleep. now() is called once
 /// before and once after each sync; advancing the clock inside sync()
 /// makes the measured latency exactly the injected stall. Calls are
-/// counted across every log the hooks are installed on.
+/// counted across every log the hooks are installed on; give each log its
+/// own instance (Daemon::set_io_hooks(wal, decisions)) to index one log.
 class PlannedWalHooks : public WalIoHooks {
  public:
   explicit PlannedWalHooks(const IoFaultPlan& plan) : plan_(&plan) {}

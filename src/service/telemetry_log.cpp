@@ -54,6 +54,20 @@ std::vector<std::uint8_t> encode_header(std::uint64_t fleet_hash,
   return header.bytes();
 }
 
+/// Parse the header of a frame-log file held in `bytes` into `wal`
+/// (version, fleet hash, base ordinal). False when it is not a frame WAL.
+bool parse_header(const std::vector<std::uint8_t>& bytes, WalContents& wal) {
+  const std::uint32_t version =
+      bytes.size() < kHeaderSizeV1 ? 0 : load_u32(bytes.data() + 8);
+  if ((version != 1 && version != 2) || bytes.size() < header_size(version) ||
+      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
+    return false;
+  wal.version = version;
+  wal.fleet_hash = load_u64(bytes.data() + 12);
+  wal.base_ordinal = version == 2 ? load_u64(bytes.data() + 20) : 0;
+  return true;
+}
+
 }  // namespace
 
 FrameLog::Recovery FrameLog::open(const std::string& path,
@@ -79,18 +93,11 @@ WalContents read_frame_log(const std::string& path) {
   std::vector<std::uint8_t> bytes;
   if (!read_file(path, bytes))
     throw std::runtime_error("read_frame_log: cannot read " + path);
-  const std::uint32_t version =
-      bytes.size() < kHeaderSizeV1 ? 0 : load_u32(bytes.data() + 8);
-  if ((version != 1 && version != 2) || bytes.size() < header_size(version) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-    throw std::runtime_error("read_frame_log: not a frame WAL: " + path);
-
   WalContents wal;
-  wal.version = version;
-  wal.fleet_hash = load_u64(bytes.data() + 12);
-  if (version == 2) wal.base_ordinal = load_u64(bytes.data() + 20);
+  if (!parse_header(bytes, wal))
+    throw std::runtime_error("read_frame_log: not a frame WAL: " + path);
   const std::size_t off =
-      scan_records(bytes, header_size(version), frames_into(wal.frames));
+      scan_records(bytes, header_size(wal.version), frames_into(wal.frames));
   wal.torn_tail = off < bytes.size();
   wal.content_hash = fnv1a64(bytes.data(), off);
   return wal;
@@ -147,21 +154,19 @@ std::uint64_t chain_hash(std::uint64_t running, std::uint64_t segment) {
   return fnv1a64(bytes, sizeof(bytes), running);
 }
 
-void append_frames(std::vector<Frame>& to, std::vector<Frame>& from) {
-  to.insert(to.end(), std::make_move_iterator(from.begin()),
-            std::make_move_iterator(from.end()));
-}
-
 /// The valid prefix of a segment chain, walked in index order and
-/// stitched into one WalContents: each segment must read cleanly as
-/// version 2, carry the head's fleet hash (`fleet_hash` when given) and
-/// continue the index and base ordinal before it. The first violation
-/// ends the walk; a torn segment is kept but ends it too — a torn tail
-/// belongs to the last write, so anything after it was never validly
-/// sealed.
+/// stitched into one WalContents, reading and decoding each kept segment
+/// once: each segment must carry a version-2 header with the head's fleet
+/// hash (`fleet_hash` when given) and continue the index and base ordinal
+/// before it. Headers are checked before any frame is decoded. The first
+/// violation ends the walk; a torn segment is kept but ends it too — a
+/// torn tail belongs to the last write, so anything after it was never
+/// validly sealed.
 struct Chain {
   WalContents wal;
   std::vector<std::pair<std::size_t, std::uint64_t>> kept;  ///< index, frames
+  std::size_t tail_end = 0;  ///< intact byte length of the last kept segment
+  std::uint64_t frames_decoded = 0;  ///< decode_frame calls that succeeded
   bool foreign_head = false;  ///< the head belongs to another fleet
 };
 
@@ -171,14 +176,12 @@ Chain walk_chain(const std::vector<std::pair<std::size_t, std::string>>& files,
   WalContents& out = chain.wal;
   out.version = 2;
   out.content_hash = 1469598103934665603ull;
+  std::vector<std::uint8_t> bytes;
   for (const auto& [index, file] : files) {
     WalContents seg;
-    try {
-      seg = read_frame_log(file);
-    } catch (const std::exception&) {
+    if (!read_file(file, bytes) || !parse_header(bytes, seg) ||
+        seg.version != 2)
       break;
-    }
-    if (seg.version != 2) break;
     if (chain.kept.empty()) {
       chain.foreign_head =
           fleet_hash != nullptr && seg.fleet_hash != *fleet_hash;
@@ -190,11 +193,16 @@ Chain walk_chain(const std::vector<std::pair<std::size_t, std::string>>& files,
                seg.base_ordinal != out.base_ordinal + out.frames.size()) {
       break;  // gap, foreign file or base discontinuity
     }
-    chain.kept.emplace_back(index, seg.frames.size());
-    append_frames(out.frames, seg.frames);
-    out.content_hash = chain_hash(out.content_hash, seg.content_hash);
-    out.torn_tail = seg.torn_tail;
-    if (seg.torn_tail) break;
+    const std::size_t before = out.frames.size();
+    chain.tail_end =
+        scan_records(bytes, kHeaderSizeV2, frames_into(out.frames));
+    const std::uint64_t decoded = out.frames.size() - before;
+    chain.frames_decoded += decoded;
+    chain.kept.emplace_back(index, decoded);
+    out.content_hash =
+        chain_hash(out.content_hash, fnv1a64(bytes.data(), chain.tail_end));
+    out.torn_tail = chain.tail_end < bytes.size();
+    if (out.torn_tail) break;
   }
   return chain;
 }
@@ -202,9 +210,7 @@ Chain walk_chain(const std::vector<std::pair<std::size_t, std::string>>& files,
 }  // namespace
 
 WalContents read_segmented_wal(const std::string& path) {
-  const auto files = list_segments(path);
-  if (files.empty()) return read_frame_log(path);
-  Chain chain = walk_chain(files, nullptr);
+  Chain chain = walk_chain(list_segments(path), nullptr);
   if (chain.kept.empty())
     throw std::runtime_error("read_segmented_wal: no readable segments: " +
                              path);
@@ -214,6 +220,8 @@ WalContents read_segmented_wal(const std::string& path) {
 SegmentedFrameLog::Recovery SegmentedFrameLog::open(
     const std::string& path, std::uint64_t fleet_hash, bool resume,
     std::uint64_t segment_frames) {
+  if (segment_frames == 0)
+    throw std::invalid_argument("SegmentedFrameLog: segment_frames is 0");
   log_.close();
   path_ = path;
   fleet_hash_ = fleet_hash;
@@ -223,50 +231,28 @@ SegmentedFrameLog::Recovery SegmentedFrameLog::open(
   active_base_ = 0;
   active_count_ = 0;
 
-  Recovery rec;
-  if (segment_frames_ == 0) {
-    // Legacy single-file mode: byte-compatible with every pre-segmentation
-    // WAL on disk and every test that reads one.
-    FrameLog::Recovery r = log_.open(path, fleet_hash, resume);
-    rec.frames = std::move(r.frames);
-    rec.stale = r.stale;
-    rec.torn_tail = r.torn_tail;
-    active_count_ = rec.frames.size();
-    return rec;
-  }
-
-  const auto files = list_segments(path);
-  if (!resume) {
-    for (const auto& [index, file] : files) ::unlink(file.c_str());
-    log_.open(segment_path(path, 1), fleet_hash, false, 2, 0);
-    rec.segments = 1;
-    return rec;
-  }
-
   // The first violation ends the kept prefix and everything from it onward
   // is unlinked (a sealed segment is immutable, so a bad one means
   // corruption — nothing after it is trustworthy either). A foreign fleet
   // hash on the chain head means the whole chain is stale (the fleet shape
-  // changed); later on it is plain corruption.
-  Chain chain = walk_chain(files, &fleet_hash);
+  // changed); later on it is plain corruption. Without resume nothing is
+  // kept.
+  const auto files = list_segments(path);
+  Chain chain = resume ? walk_chain(files, &fleet_hash) : Chain{};
   const auto& kept = chain.kept;
-  rec.stale = chain.foreign_head;
   for (std::size_t i = kept.size(); i < files.size(); ++i)
     ::unlink(files[i].second.c_str());
 
+  Recovery rec;
+  rec.stale = chain.foreign_head;
+  rec.frames_decoded = chain.frames_decoded;
   if (kept.empty()) {
     log_.open(segment_path(path, 1), fleet_hash, false, 2, 0);
-    rec.segments = 1;
     return rec;
   }
 
   // Sealed prefix stays closed; the last kept segment reopens for append
-  // (FrameLog::open re-reads it and truncates its torn tail if any), so
-  // its frames come from there.
-  rec.frames = std::move(chain.wal.frames);
-  rec.frames.erase(rec.frames.end() -
-                       static_cast<std::ptrdiff_t>(kept.back().second),
-                   rec.frames.end());
+  // at the intact end the walk found, truncating its torn tail if any.
   active_base_ = chain.wal.base_ordinal;
   for (std::size_t i = 0; i + 1 < kept.size(); ++i) {
     sealed_.push_back(
@@ -274,13 +260,11 @@ SegmentedFrameLog::Recovery SegmentedFrameLog::open(
     active_base_ += kept[i].second;
   }
   active_index_ = kept.back().first;
-  FrameLog::Recovery r = log_.open(segment_path(path, active_index_),
-                                   fleet_hash, true, 2, active_base_);
-  active_count_ = r.frames.size();
-  rec.torn_tail = r.torn_tail;
-  append_frames(rec.frames, r.frames);
-  rec.base_ordinal = sealed_.empty() ? active_base_ : sealed_.front().base;
-  rec.segments = sealed_.size() + 1;
+  active_count_ = kept.back().second;
+  log_.reopen(segment_path(path, active_index_), chain.tail_end);
+  rec.frames = std::move(chain.wal.frames);
+  rec.torn_tail = chain.wal.torn_tail;
+  rec.base_ordinal = chain.wal.base_ordinal;
   return rec;
 }
 
@@ -302,7 +286,7 @@ bool SegmentedFrameLog::rotate() {
 }
 
 bool SegmentedFrameLog::append(const Frame& frame, bool sync) {
-  if (segment_frames_ > 0 && active_count_ >= segment_frames_ && !rotate())
+  if (active_count_ >= segment_frames_ && !rotate())
     return false;
   if (!log_.append(frame, sync)) return false;
   ++active_count_;

@@ -19,12 +19,13 @@
 //  - a torn tail (partial frame from a crash, or a checksum mismatch): the
 //    tail is truncated away and every intact frame before it is returned.
 //
-// Version 2 headers add a base ordinal — the global frame index of the
-// file's first record — which is what lets SegmentedFrameLog split one
-// logical WAL into sealed segment files (`<base>.segNNNNNN`): the chain is
-// validated by base continuity at open, segments older than the newest
-// durable snapshot are reclaimable (service/snapshot, DESIGN.md §9), and a
-// torn tail is still confined to the newest segment.
+// The two differ in header version. The decision log is one version-1 file.
+// The WAL is always a SegmentedFrameLog chain of version-2 segment files
+// (`<path>.segNNNNNN`), whose headers add a base ordinal — the global frame
+// index of the file's first record: the chain is validated by base
+// continuity at open, segments older than the newest durable snapshot are
+// reclaimable (service/snapshot, DESIGN.md §9), and a torn tail is
+// confined to the newest segment.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,8 @@ namespace vmcw::service {
 using vmcw::default_wal_io_hooks;
 using vmcw::WalIoHooks;
 
-/// Append-side handle on a frame WAL (telemetry input or decision output).
+/// Append-side handle on one frame-log file: the decision log, or one
+/// segment of the telemetry WAL (inside SegmentedFrameLog).
 class FrameLog {
  public:
   /// What open() recovered from an existing log: the record log's
@@ -55,12 +57,17 @@ class FrameLog {
   /// recovered; without it — or when the log is stale or unreadable — the
   /// file is rewritten with a fresh header. Throws std::runtime_error when
   /// the path cannot be created or its header written. `version` selects
-  /// the header layout: 1 is the standalone single-file WAL; 2 stamps
-  /// `base_ordinal` (the global index of the file's first frame) for
-  /// segment-chain files — SegmentedFrameLog is the only caller that
-  /// passes 2.
+  /// the header layout: 1 is the decision log; 2 stamps `base_ordinal`
+  /// (the global index of the file's first frame) for WAL segment files —
+  /// SegmentedFrameLog is the only caller that passes 2.
   Recovery open(const std::string& path, std::uint64_t fleet_hash, bool resume,
                 std::uint32_t version = 1, std::uint64_t base_ordinal = 0);
+
+  /// Reopen for append a file already read up to `end`, the offset past
+  /// its last intact frame (RecordLog::reopen).
+  void reopen(const std::string& path, std::size_t end) {
+    log_.reopen(path, end);
+  }
 
   bool is_open() const { return log_.is_open(); }
 
@@ -92,7 +99,7 @@ class FrameLog {
 /// A recorded WAL, read without modifying the file (replay mode).
 struct WalContents {
   std::uint64_t fleet_hash = 0;  ///< binding hash from the header
-  std::uint32_t version = 1;     ///< header version (2 = segment file)
+  std::uint32_t version = 1;     ///< 1 = decision log, 2 = WAL segment
   /// Global frame index of frames[0]; always 0 for version-1 files. After
   /// segment reclamation a chain's head base records how many frames of
   /// history were compacted away into the snapshot.
@@ -108,20 +115,20 @@ struct WalContents {
 /// error (the intact prefix is returned with torn_tail set).
 WalContents read_frame_log(const std::string& path);
 
-/// Read a logical WAL that may be either a single version-1 file at `path`
-/// or a segment chain (`path + ".segNNNNNN"` files). Segments are stitched
-/// in base-ordinal order; chain breaks (gap, fleet mismatch, torn tail in
-/// a sealed segment) end the stitch there, mirroring what
-/// SegmentedFrameLog::open would keep. Throws when nothing readable exists.
+/// Read the telemetry WAL rooted at `path` (its `path + ".segNNNNNN"`
+/// segment chain) without modifying it. Segments are stitched in
+/// base-ordinal order; chain breaks (gap, fleet mismatch, torn tail in a
+/// sealed segment) end the stitch there, mirroring what
+/// SegmentedFrameLog::open would keep. Throws std::runtime_error when no
+/// readable segment exists.
 WalContents read_segmented_wal(const std::string& path);
 
 /// Path of segment file `index` of the chain rooted at `path`
 /// (e.g. "live.wal.seg000003").
 std::string segment_path(const std::string& path, std::size_t index);
 
-/// One logical WAL split across sealed, checksummed segment files, plus an
-/// active tail segment. With `segment_frames == 0` this is byte-compatible
-/// legacy mode: a single version-1 file at `path`, exactly FrameLog.
+/// The telemetry WAL: one logical frame stream split across sealed,
+/// checksummed segment files plus an active tail segment.
 ///
 /// Rotation: once the active segment holds `segment_frames` frames, the
 /// next append seals it (fdatasync + close) and opens the next segment
@@ -144,9 +151,12 @@ class SegmentedFrameLog {
     /// reclaimed before the crash (the caller needs a snapshot covering at
     /// least this many frames, or recovery must refuse).
     std::uint64_t base_ordinal = 0;
-    std::size_t segments = 0;  ///< segment files kept (0 in legacy mode)
+    std::uint64_t frames_decoded = 0;  ///< open()'s cost; observational
   };
 
+  /// Open the chain rooted at `path`, reading and decoding each kept
+  /// segment once; without `resume` every segment is unlinked. Throws
+  /// std::invalid_argument when `segment_frames` is 0.
   Recovery open(const std::string& path, std::uint64_t fleet_hash, bool resume,
                 std::uint64_t segment_frames);
 
@@ -155,7 +165,6 @@ class SegmentedFrameLog {
   bool append(const Frame& frame, bool sync = true);
   bool sync() { return log_.sync(); }
   void close() { log_.close(); }
-  bool is_open() const { return log_.is_open(); }
   double last_sync_seconds() const { return log_.last_sync_seconds(); }
   void set_io_hooks(WalIoHooks* hooks) noexcept { log_.set_io_hooks(hooks); }
 
@@ -167,11 +176,6 @@ class SegmentedFrameLog {
   /// Unlink sealed segments wholly below `ordinal` (never the active one).
   /// Returns how many files were reclaimed.
   std::size_t reclaim_before(std::uint64_t ordinal);
-
-  /// Sealed + active segment files on disk (0 in legacy mode).
-  std::size_t segment_count() const noexcept {
-    return segment_frames_ == 0 ? 0 : sealed_.size() + 1;
-  }
 
  private:
   struct Segment {
@@ -185,7 +189,7 @@ class SegmentedFrameLog {
   FrameLog log_;
   std::string path_;
   std::uint64_t fleet_hash_ = 0;
-  std::uint64_t segment_frames_ = 0;  ///< 0 = legacy single-file mode
+  std::uint64_t segment_frames_ = 0;
   std::vector<Segment> sealed_;
   std::size_t active_index_ = 1;
   std::uint64_t active_base_ = 0;

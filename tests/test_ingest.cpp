@@ -452,6 +452,40 @@ TEST(WalIoHooks, FailedFsyncIsNeverRetried) {
   daemon.close();
 }
 
+TEST(WalIoHooks, DecisionLogFaultsNeverCountOnTheWalHooks) {
+  const std::string dir = temp_dir("vmcw_ingest_splithooks");
+  const auto frames = small_churn();
+  const IoFaultPlan clean;  // the WAL's hooks only count
+  PlannedWalHooks wal_hooks(clean);
+  IoFaultPlan plan;
+  plan.force_write_error(/*write=*/0, EIO);  // the first decision batch
+  PlannedWalHooks decision_hooks(plan);
+  Daemon::Options o;
+  o.wal_path = dir + "/live.wal";
+  o.decisions_path = dir + "/live.decisions";
+  Daemon daemon(ControllerConfig{}, o);
+  daemon.set_io_hooks(&wal_hooks, &decision_hooks);
+  daemon.open();
+
+  // Frames up to and including the first Flush reach the WAL; that
+  // Flush's batch append hits the scripted decision-log error.
+  std::size_t appended = 0;
+  while (!std::holds_alternative<FlushFrame>(frames[appended]))
+    daemon.ingest(frames[appended++]);
+  EXPECT_THROW(daemon.ingest(frames[appended++]), std::runtime_error);
+
+  // One write and one sync per WAL frame, none of the decision log's.
+  EXPECT_EQ(wal_hooks.writes(), appended);
+  EXPECT_EQ(wal_hooks.syncs(), appended);
+  EXPECT_EQ(decision_hooks.writes(), 1u);
+  EXPECT_EQ(decision_hooks.syncs(), 0u);
+  daemon.close();
+  EXPECT_EQ(read_segmented_wal(o.wal_path).frames,
+            std::vector<Frame>(frames.begin(),
+                               frames.begin() +
+                                   static_cast<std::ptrdiff_t>(appended)));
+}
+
 // ----------------------------------------------------------- partitioning
 
 TEST(PartitionStream, RoutesDeterministicallyAndTerminatesEachPartition) {
@@ -502,6 +536,8 @@ struct ServeResult {
 
 /// Run one daemon + IngestServer on a Unix socket and N in-process
 /// collector clients (each on its partition of `frames`), to completion.
+/// `wal_hooks` go on the telemetry WAL only; the decision log keeps real
+/// I/O, so a scripted write or sync index counts WAL calls alone.
 ServeResult serve_churn(const std::string& dir,
                         const std::vector<Frame>& frames,
                         std::size_t collectors, std::size_t agents,
@@ -514,7 +550,7 @@ ServeResult serve_churn(const std::string& dir,
   daemon_options.decisions_path = dir + "/live.decisions";
   daemon_options.durable = true;
   Daemon daemon(ControllerConfig{}, daemon_options);
-  if (wal_hooks != nullptr) daemon.set_io_hooks(wal_hooks);
+  if (wal_hooks != nullptr) daemon.set_io_hooks(wal_hooks, nullptr);
   const auto opened = daemon.open();
 
   options.unix_path = dir + "/ingest.sock";
@@ -632,7 +668,7 @@ TEST(IngestServer, ChaosDisconnectsAndCorruptionStayExactlyOnce) {
   EXPECT_GT(reconnects, 0u);
   EXPECT_GT(result.ingest.connections_accepted, 3u);
 
-  const WalContents wal = read_frame_log(dir + "/live.wal");
+  const WalContents wal = read_segmented_wal(dir + "/live.wal");
   EXPECT_EQ(wal.frames.size(), expected);
   expect_replay_identity(dir);
 }
@@ -669,7 +705,7 @@ TEST(IngestServer, WalStallShedsToHeartbeatOnlyAndRecovers) {
   EXPECT_EQ(result.ingest.messages_ingested, parts[0].size());
   // One collector delivers in order; acked == appended, so the WAL is the
   // partition, exactly — shedding never dropped an acked frame.
-  const WalContents wal = read_frame_log(dir + "/live.wal");
+  const WalContents wal = read_segmented_wal(dir + "/live.wal");
   EXPECT_EQ(wal.frames, parts[0]);
   expect_replay_identity(dir);
 }
@@ -679,8 +715,7 @@ TEST(IngestServer, AckedFramesAreDurableWhenAWalWriteFails) {
   const auto frames = small_churn();
   const auto parts = partition_stream(frames, 1, 4);
 
-  // EIO on the 21st write (WAL and decision log share the hooks), one
-  // frame per writer batch.
+  // EIO on the 21st WAL write, one frame per writer batch.
   IoFaultPlan plan;
   plan.force_write_error(/*write=*/20, EIO);
   PlannedWalHooks hooks(plan);
@@ -786,7 +821,7 @@ TEST(IngestServer, CrashResumeDedupesAlreadyDurableFrames) {
   // "crashes" — the server goes away with the WAL durable.
   const std::string wal = dir + "/resumed.wal";
   serve_once(/*resume=*/false, prefix, /*expected_shutdowns=*/0, wal);
-  EXPECT_EQ(read_frame_log(wal).frames.size(), prefix.size());
+  EXPECT_EQ(read_segmented_wal(wal).frames.size(), prefix.size());
 
   // Phase 2: the daemon restarts with --resume; the collector (which
   // never saw acks persist) resends the whole stream from scratch. The
@@ -796,10 +831,14 @@ TEST(IngestServer, CrashResumeDedupesAlreadyDurableFrames) {
   EXPECT_EQ(second.duplicates_dropped, prefix.size());
   EXPECT_EQ(second.messages_ingested, stream.size() - prefix.size());
 
-  // The resumed WAL is byte-identical to an uninterrupted delivery.
+  // The resumed WAL is byte-identical to an uninterrupted delivery: the
+  // content hash covers every segment's header and frame bytes.
   const std::string uwal = dir + "/uninterrupted.wal";
   serve_once(/*resume=*/false, stream, /*expected_shutdowns=*/1, uwal);
-  EXPECT_EQ(file_bytes(wal), file_bytes(uwal));
+  const WalContents resumed = read_segmented_wal(wal);
+  const WalContents uninterrupted = read_segmented_wal(uwal);
+  EXPECT_EQ(resumed.frames, uninterrupted.frames);
+  EXPECT_EQ(resumed.content_hash, uninterrupted.content_hash);
   EXPECT_EQ(file_bytes(wal + ".decisions"),
             file_bytes(uwal + ".decisions"));
 }

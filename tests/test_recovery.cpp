@@ -268,24 +268,67 @@ TEST(SegmentedLog, RotatesSealsAndStitchesBackTogether) {
   again.close();
 }
 
-TEST(SegmentedLog, ZeroSegmentFramesIsByteCompatibleLegacyMode) {
-  const std::string dir = temp_dir("vmcw_rec_seglegacy");
-  const std::string path = dir + "/legacy.wal";
-  const auto frames = small_churn();
-
+TEST(SegmentedLog, ZeroSegmentFramesIsRejected) {
+  const std::string dir = temp_dir("vmcw_rec_segzero");
   SegmentedFrameLog log;
-  log.open(path, fleet_hash(), false, /*segment_frames=*/0);
-  for (const Frame& frame : frames) log.append(frame, /*sync=*/false);
-  log.sync();
-  log.close();
+  EXPECT_THROW(log.open(dir + "/zero.wal", fleet_hash(), false,
+                        /*segment_frames=*/0),
+               std::invalid_argument);
 
-  // One plain version-1 file, readable by the original reader.
-  EXPECT_TRUE(fs::exists(path));
-  EXPECT_FALSE(fs::exists(segment_path(path, 1)));
-  const WalContents direct = read_frame_log(path);
-  EXPECT_EQ(direct.version, 1u);
-  EXPECT_EQ(direct.frames, frames);
-  EXPECT_EQ(read_segmented_wal(path).frames, frames);
+  Daemon::Options o;
+  o.wal_path = dir + "/live.wal";
+  o.decisions_path = dir + "/live.decisions";
+  o.segment_frames = 0;
+  Daemon daemon(ControllerConfig{}, o);
+  EXPECT_THROW(daemon.open(), std::invalid_argument);
+  // Nothing was created: neither a single-file WAL nor a segment.
+  EXPECT_TRUE(fs::is_empty(dir));
+}
+
+TEST(SegmentedLog, ResumeDecodesEachKeptFrameOnce) {
+  const auto frames = small_churn();
+  // Segments 1 and 2 sealed with 8 frames each, segment 3 active with 4.
+  const auto write_chain = [&](const std::string& path) {
+    SegmentedFrameLog log;
+    log.open(path, fleet_hash(), false, 8);
+    for (std::size_t i = 0; i < 20; ++i) log.append(frames[i], false);
+    log.sync();
+    log.close();
+  };
+  const auto resume = [&](const std::string& path) {
+    SegmentedFrameLog again;
+    auto rec = again.open(path, fleet_hash(), /*resume=*/true, 8);
+    again.close();
+    return rec;
+  };
+  const std::string dir = temp_dir("vmcw_rec_segdecode");
+
+  const std::string clean = dir + "/clean.wal";
+  write_chain(clean);
+  const auto whole = resume(clean);
+  EXPECT_EQ(whole.frames.size(), 20u);
+  EXPECT_EQ(whole.frames_decoded, whole.frames.size());
+
+  const std::string torn = dir + "/torn.wal";
+  write_chain(torn);
+  {
+    std::ofstream out(segment_path(torn, 3), std::ios::binary | std::ios::app);
+    out << "torn torn torn";
+  }
+  const auto torn_rec = resume(torn);
+  EXPECT_TRUE(torn_rec.torn_tail);
+  EXPECT_EQ(torn_rec.frames.size(), 20u);
+  EXPECT_EQ(torn_rec.frames_decoded, torn_rec.frames.size());
+
+  // A corrupt sealed segment 2 cuts the chain: 8 + 7 frames are kept, and
+  // segment 3 is dropped without decoding it.
+  const std::string cut = dir + "/cut.wal";
+  write_chain(cut);
+  fs::resize_file(segment_path(cut, 2),
+                  fs::file_size(segment_path(cut, 2)) - 5);
+  const auto cut_rec = resume(cut);
+  EXPECT_EQ(cut_rec.frames.size(), 15u);
+  EXPECT_EQ(cut_rec.frames_decoded, cut_rec.frames.size());
 }
 
 TEST(SegmentedLog, TornTailInActiveSegmentIsTruncatedAway) {

@@ -87,9 +87,21 @@ std::vector<Frame> small_churn() {
   return generate_churn(churn, ControllerConfig{});
 }
 
+/// One version-1 frame-log file (the decision log's format).
+void write_frame_log(const std::string& path,
+                     const std::vector<Frame>& frames) {
+  FrameLog log;
+  log.open(path, fleet_config_hash(ControllerConfig{}), /*resume=*/false);
+  for (const Frame& frame : frames) log.append(frame, /*sync=*/false);
+  log.sync();
+}
+
+/// A telemetry WAL: a segment chain rooted at `path`, several segments
+/// long for small_churn().
 void write_wal(const std::string& path, const std::vector<Frame>& frames) {
-  FrameLog wal;
-  wal.open(path, fleet_config_hash(ControllerConfig{}), /*resume=*/false);
+  SegmentedFrameLog wal;
+  wal.open(path, fleet_config_hash(ControllerConfig{}), /*resume=*/false,
+           /*segment_frames=*/16);
   for (const Frame& frame : frames) wal.append(frame, /*sync=*/false);
   wal.sync();
 }
@@ -147,7 +159,7 @@ TEST(FrameLog, RecoversIntactPrefixAndTruncatesTornTail) {
   const std::string dir = temp_dir("vmcw_service_torn");
   const std::string path = dir + "/torn.wal";
   const auto frames = sample_frames();
-  write_wal(path, frames);
+  write_frame_log(path, frames);
 
   // Simulate a crash mid-append: a partial frame at the tail.
   const std::string intact = file_bytes(path);
@@ -176,7 +188,7 @@ TEST(FrameLog, RecoversIntactPrefixAndTruncatesTornTail) {
 TEST(FrameLog, StaleOnFleetHashMismatch) {
   const std::string dir = temp_dir("vmcw_service_stale");
   const std::string path = dir + "/stale.wal";
-  write_wal(path, sample_frames());
+  write_frame_log(path, sample_frames());
 
   FrameLog log;
   const auto recovery = log.open(path, /*fleet_hash=*/0xdead, /*resume=*/true);
@@ -191,7 +203,7 @@ TEST(FrameLog, ReadMatchesRecovery) {
   const std::string dir = temp_dir("vmcw_service_read");
   const std::string path = dir + "/read.wal";
   const auto frames = small_churn();
-  write_wal(path, frames);
+  write_frame_log(path, frames);
 
   const WalContents contents = read_frame_log(path);
   EXPECT_EQ(contents.fleet_hash, fleet_config_hash(ControllerConfig{}));

@@ -3,9 +3,14 @@
 // Two modes:
 //
 //   vmcw_daemon --gen-wal PATH [--hosts N] [--vms N] [--ticks N] [--seed S]
+//               [--segment-frames N]
 //       Generate a deterministic churn WAL at PATH (the stream a fleet of
 //       collection agents would emit). --hosts maps to the number of
 //       telemetry collectors; --vms to the initial population.
+//
+// A WAL on disk is always a segment chain, PATH.seg000001, PATH.seg000002,
+// ... of --segment-frames frames each (default 1024); PATH itself is never
+// created. The decision log is one file.
 //
 //   vmcw_daemon --wal PATH --replay [--decisions PATH] [--resume]
 //       Replay a recorded WAL through the incremental controller, writing
@@ -26,10 +31,10 @@
 //       frames are durable (or exit 1 once a WAL write or fsync fails —
 //       fail-stop). The WAL the serve run leaves behind replays
 //       to the exact decision log the live run wrote. The bounded-recovery
-//       flags (DESIGN.md §9) turn on controller snapshots, WAL segment
-//       rotation with reclamation (--keep-segments retains the full chain
-//       for cold replays), the heartbeat file vmcw_supervisor watches,
-//       and the writer's frame batching cap.
+//       flags (DESIGN.md §9) turn on controller snapshots with WAL
+//       segment reclamation (--keep-segments retains the full chain for
+//       cold replays), the heartbeat file vmcw_supervisor watches, and the
+//       writer's frame batching cap.
 //
 // All gen/replay output on stdout is deterministic: the same WAL always
 // prints the same stats and writes the same decision log bytes, at any
@@ -55,14 +60,16 @@ int usage() {
       stderr,
       "usage:\n"
       "  vmcw_daemon --gen-wal PATH [--hosts N] [--vms N] [--ticks N]\n"
-      "              [--blackouts P] [--seed S]\n"
+      "              [--blackouts P] [--seed S] [--segment-frames N]\n"
       "  vmcw_daemon --wal PATH --replay [--decisions PATH] [--resume]\n"
       "  vmcw_daemon --listen SOCK --wal PATH [--decisions PATH] [--resume]\n"
       "              [--tcp PORT] [--collectors K] [--queue N]\n"
       "              [--shed-ms MS] [--recover-ms MS] [--batch N]\n"
       "              [--snapshot PATH] [--snapshot-frames N]\n"
       "              [--snapshot-seconds S] [--segment-frames N]\n"
-      "              [--keep-segments] [--health PATH]\n");
+      "              [--keep-segments] [--health PATH]\n"
+      "  --segment-frames N: WAL frames per segment file, N > 0 "
+      "(default 1024)\n");
   return 2;
 }
 
@@ -110,11 +117,12 @@ int serve(Daemon::Options daemon_options, const IngestOptions& ingest_options) {
   return 0;
 }
 
-int gen_wal(const std::string& path, const ChurnOptions& churn) {
+int gen_wal(const std::string& path, const ChurnOptions& churn,
+            std::uint64_t segment_frames) {
   const ControllerConfig config;
   const auto frames = generate_churn(churn, config);
-  FrameLog wal;
-  wal.open(path, fleet_config_hash(config), /*resume=*/false);
+  SegmentedFrameLog wal;
+  wal.open(path, fleet_config_hash(config), /*resume=*/false, segment_frames);
   for (const Frame& frame : frames) wal.append(frame, /*sync=*/false);
   if (!wal.sync()) {  // a failed append closed the log, so this fails too
     std::fprintf(stderr, "vmcw_daemon: cannot write %s\n", path.c_str());
@@ -238,7 +246,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--segment-frames") {
       const char* v = value();
       if (!v) return usage();
-      daemon_options.segment_frames = static_cast<std::uint64_t>(std::atoll(v));
+      const long long frames = std::atoll(v);
+      if (frames <= 0) return usage();  // 0 is also what garbage parses to
+      daemon_options.segment_frames = static_cast<std::uint64_t>(frames);
     } else if (arg == "--keep-segments") {
       daemon_options.retain_segments = true;
     } else if (arg == "--health") {
@@ -252,7 +262,8 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (!gen_path.empty()) return gen_wal(gen_path, churn);
+    if (!gen_path.empty())
+      return gen_wal(gen_path, churn, daemon_options.segment_frames);
     if (do_listen && !wal_path.empty()) {
       if (decisions_path.empty()) decisions_path = wal_path + ".decisions";
       daemon_options.wal_path = wal_path;
